@@ -7,7 +7,9 @@ probabilities shrink by a discount factor at every recursion level so the
 process terminates.  A corpus is reproducible from its seed.
 
 ``run_matrix`` executes every (kb, measure, method) cell under a hard
-timeout and cross-checks that all methods that finished agree on the value;
+timeout, records a cell whose method cannot run on its KB with a status
+instead of aborting, and cross-checks that all methods that finished agree
+on the value;
 ``emit_reports`` writes the result, cactus, scatter, and summary CSV files.
 """
 
@@ -16,12 +18,14 @@ from __future__ import annotations
 import csv
 import json
 import random
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .kb import And, Atom, Formula, KnowledgeBase, Not, Or
+from .oracles import CapExceededError, MeasureUndefinedError
 from .search import PHASES, RunConfig, SearchOutcome, compute
 from .solver import BackendConfig
 from .values import Value, format_value
@@ -126,17 +130,28 @@ class BenchRecord:
     kb_id: str
     measure: str
     method: str
-    value: Value | None  # None iff timed out
+    value: Value | None  # None iff the status is not "ok"
     total_seconds: float
     phase_times: dict[str, float]
     solver_calls: int
+    # "ok" | "timeout" | "cap" (over an oracle cap) | "undefined" (measure
+    # undefined on the KB); left empty, it is "ok" or, without a value, "timeout"
+    status: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.status:
+            self.status = "ok" if self.value is not None else "timeout"
+
+    @property
+    def solved(self) -> bool:
+        return self.status == "ok"
 
     @property
     def timed_out(self) -> bool:
-        return self.value is None
+        return self.status == "timeout"
 
     def value_text(self) -> str:
-        return "timeout" if self.value is None else format_value(self.value)
+        return format_value(self.value) if self.solved else self.status
 
 
 class ValueDisagreementError(RuntimeError):
@@ -153,6 +168,7 @@ def _record(kb_id: str, outcome: SearchOutcome, timeout: float) -> BenchRecord:
         outcome.total_seconds,
         dict(outcome.phase_times),
         outcome.solver_calls,
+        "timeout" if timed_out else "ok",
     )
 
 
@@ -177,7 +193,14 @@ def run_matrix(
 
     def run(task) -> BenchRecord:
         kb_id, kb, measure, method = task
-        return _record(kb_id, compute(measure, kb, method, cfg), timeout_seconds)
+        begin = time.perf_counter()
+        try:
+            outcome = compute(measure, kb, method, cfg)
+        except (CapExceededError, MeasureUndefinedError) as exc:
+            status = "cap" if isinstance(exc, CapExceededError) else "undefined"
+            elapsed = time.perf_counter() - begin
+            return BenchRecord(kb_id, measure, method, None, elapsed, {}, 0, status)
+        return _record(kb_id, outcome, timeout_seconds)
 
     if workers <= 1:
         records = [run(task) for task in tasks]
@@ -191,7 +214,7 @@ def run_matrix(
 def _check_agreement(records: Iterable[BenchRecord]) -> None:
     by_cell: dict[tuple[str, str], dict[str, Value]] = {}
     for rec in records:
-        if rec.value is not None:
+        if rec.solved:
             by_cell.setdefault((rec.kb_id, rec.measure), {})[rec.method] = rec.value
     mismatches = [
         (cell, values)
@@ -230,13 +253,14 @@ def emit_reports(
     results = out / "results.csv"
     _write_csv(
         results,
-        ["kb_id", "measure", "method", "value", "total_seconds", "solver_calls"]
+        ["kb_id", "measure", "method", "status", "value", "total_seconds", "solver_calls"]
         + [f"{phase}_seconds" for phase in PHASES],
         [
             [
                 rec.kb_id,
                 rec.measure,
                 rec.method,
+                rec.status,
                 rec.value_text(),
                 f"{rec.total_seconds:.6f}",
                 rec.solver_calls,
@@ -252,7 +276,7 @@ def emit_reports(
         cells.setdefault((rec.measure, rec.method), []).append(rec)
 
     for (measure, method), recs in sorted(cells.items()):
-        solved = sorted(r.total_seconds for r in recs if not r.timed_out)
+        solved = sorted(r.total_seconds for r in recs if r.solved)
         cactus = out / f"cactus_{measure}_{method}.csv"
         _write_csv(
             cactus,
@@ -273,8 +297,8 @@ def emit_reports(
                 rows = []
                 for kb_id in sorted(set(methods_map[m1]) & set(methods_map[m2])):
                     r1, r2 = methods_map[m1][kb_id], methods_map[m2][kb_id]
-                    t1 = timeout_seconds if r1.timed_out else r1.total_seconds
-                    t2 = timeout_seconds if r2.timed_out else r2.total_seconds
+                    t1 = r1.total_seconds if r1.solved else timeout_seconds
+                    t2 = r2.total_seconds if r2.solved else timeout_seconds
                     rows.append([kb_id, f"{t1:.6f}", f"{t2:.6f}"])
                 scatter = out / f"scatter_{measure}_{m1}_vs_{m2}.csv"
                 _write_csv(scatter, ["kb_id", f"{m1}_seconds", f"{m2}_seconds"], rows)
@@ -289,9 +313,9 @@ def emit_reports(
                 measure,
                 method,
                 len(recs),
-                sum(1 for r in recs if not r.timed_out),
+                sum(1 for r in recs if r.solved),
                 sum(1 for r in recs if r.timed_out),
-                f"{sum(r.total_seconds for r in recs if not r.timed_out):.6f}",
+                f"{sum(r.total_seconds for r in recs if r.solved):.6f}",
             ]
             for (measure, method), recs in sorted(cells.items())
         ],

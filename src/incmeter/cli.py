@@ -222,7 +222,9 @@ def _cmd_bench(args) -> int:
     )
     written = bench.emit_reports(records, args.out, args.timeout)
     timeouts = sum(1 for r in records if r.timed_out)
-    print(f"{len(records)} runs, {timeouts} timeouts; reports in {args.out}")
+    not_run = sum(1 for r in records if not r.solved and not r.timed_out)
+    print(f"{len(records)} runs, {timeouts} timeouts, {not_run} over a cap or undefined; "
+          f"reports in {args.out}")
     for name in written:
         print(f"  {name}")
     return EXIT_OK

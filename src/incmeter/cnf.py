@@ -1,14 +1,14 @@
 """Clause-level machinery: variable maps, CNF instances, Tseitin conversion.
 
 Solver variables are positive integers; literals are non-zero integers with
-sign for polarity.  Every variable carries a structured semantic name in a
-:class:`VarMap` so encodings stay inspectable and debuggable.
+sign for polarity.  Every base variable carries a structured semantic name in
+a :class:`VarMap` so encodings stay inspectable and debuggable; auxiliary
+variables (Tseitin definitions, cardinality registers) are bare ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .kb import (
     And,
@@ -25,8 +25,7 @@ from .kb import (
 )
 
 # Variable name tags. Names are tuples whose first element is one of these;
-# "aux" marks Tseitin definitions and cardinality registers, everything else
-# counts toward an encoding's base signature.
+# every named variable counts toward an encoding's base signature.
 TAG_ATOM = "atom"          # (atom, name)               plain propositional atom
 TAG_TRI = "tri"            # (tri, name, "t"|"f"|"b")   three-valued indicator
 TAG_VAL = "val"            # (val, site, "t"|"f"|"b")   per-site valuation
@@ -38,51 +37,48 @@ TAG_COPY = "copy"          # (copy, name, i)            per-index atom copy
 TAG_OPT = "opt"            # (opt, name)                atom of the chosen world
 TAG_INV = "inv"            # (inv, name, i)             inverted-assignment flag
 TAG_HIT = "hit"            # (hit, formula_idx)         formula dropped marker
-TAG_AUX = "aux"            # (aux, n)
+TAG_AUX = "aux"            # (aux, id)                  reported for unnamed ids
 
 
 VarName = tuple
 
 
 class VarMap:
-    """Bijection between structured variable names and solver variable ids."""
+    """Names of the base variables; auxiliary variables are bare ids."""
 
     def __init__(self) -> None:
         self._by_name: dict[VarName, int] = {}
         self._by_id: dict[int, VarName] = {}
-        self._aux_counter = 0
+        self._top = 0
 
     def __len__(self) -> int:
-        return len(self._by_name)
-
-    def __contains__(self, name: VarName) -> bool:
-        return name in self._by_name
+        return self._top
 
     def var(self, name: VarName) -> int:
         """Return the id for `name`, allocating a fresh variable if needed."""
         vid = self._by_name.get(name)
         if vid is None:
-            vid = len(self._by_name) + 1
+            self._top += 1
+            vid = self._top
             self._by_name[name] = vid
             self._by_id[vid] = name
         return vid
 
     def fresh_aux(self) -> int:
-        self._aux_counter += 1
-        return self.var((TAG_AUX, self._aux_counter))
+        self._top += 1
+        return self._top
 
     def id_of(self, name: VarName) -> int:
         return self._by_name[name]
 
     def name_of(self, vid: int) -> VarName:
-        return self._by_id[vid]
-
-    def names(self) -> list[VarName]:
-        return list(self._by_name)
+        if not 1 <= vid <= self._top:
+            raise KeyError(vid)
+        return self._by_id.get(vid, (TAG_AUX, vid))
 
     def base_count(self) -> int:
-        """Number of non-auxiliary variables allocated so far."""
-        return sum(1 for name in self._by_name if name[0] != TAG_AUX)
+        """Number of named (non-auxiliary) variables allocated so far."""
+        return len(self._by_name)
 
 
 @dataclass
@@ -98,26 +94,22 @@ class CnfInstance:
             assert not any(-lit in clause for lit in clause), "tautological clause"
 
 
-def atom_leaf_var(vm: VarMap) -> Callable[[str], int]:
-    return lambda name: vm.var((TAG_ATOM, name))
+@dataclass(frozen=True, slots=True)
+class Lit(Formula):
+    """A formula leaf that stands for the solver literal `lit` itself."""
+
+    lit: int
 
 
-def tseitin_append(
-    f: Formula,
-    vm: VarMap,
-    clauses: list[list[int]],
-    leaf_var: Callable[[str], int] | None = None,
-    assert_root: bool = True,
-) -> int:
-    """Append definitional clauses for `f` to `clauses`; return its root literal.
+def tseitin_append(f: Formula, vm: VarMap, clauses: list[list[int]]) -> None:
+    """Append clauses equisatisfiable with asserting `f` to `clauses`.
 
-    Every internal connective gets an auxiliary variable constrained by a full
+    :class:`Lit` leaves are their own literals; an :class:`Atom` leaf is the
+    variable named ``(atom, name)`` in `vm`.  Every internal connective below
+    the top level gets an auxiliary variable constrained by a full
     biconditional (no polarity optimization); negation is folded into literal
-    signs.  If `assert_root` is set, the root literal is added as a unit
-    clause, making the clause set equisatisfiable with `f`.
+    signs.
     """
-    if leaf_var is None:
-        leaf_var = atom_leaf_var(vm)
     const_true: list[int] = []
 
     def emit(clause: list[int]) -> None:
@@ -137,8 +129,10 @@ def tseitin_append(
         return const_true[0]
 
     def walk(node: Formula) -> int:
+        if isinstance(node, Lit):
+            return node.lit
         if isinstance(node, Atom):
-            return leaf_var(node.name)
+            return vm.var((TAG_ATOM, node.name))
         if isinstance(node, Top):
             return const_var()
         if isinstance(node, Bottom):
@@ -201,10 +195,7 @@ def tseitin_append(
         else:
             emit([walk(node)])
 
-    if assert_root:
-        assert_true(f)
-        return 0
-    return walk(f)
+    assert_true(f)
 
 
 def tseitin(f: Formula, vm: VarMap | None = None) -> CnfInstance:

@@ -5,12 +5,13 @@ satisfiable exactly when the measure's value is at most the given bound
 (for the hitting-set measure the bound is a block count, satisfiable iff
 the value is at most ``blocks - 1``).
 
-Construction follows a fixed shape: allocate the base signature, assert a
-set of tagged rule formulas which are clausified by the Tseitin converter,
-and attach cardinality constraints in clausal form.  The resulting
-:class:`SatEncoding` records which clause range each rule produced and the
-size of the base signature (auxiliary variables excluded), so structural
-properties can be checked against the per-encoding size formulas.
+Construction follows a fixed shape: allocate the base signature, write the
+fixed-shape rules as clauses over it, clausify the rules that embed a KB
+formula with the Tseitin converter, and attach cardinality constraints in
+clausal form.  The resulting :class:`SatEncoding` records which clause range
+each rule produced and the size of the base signature (auxiliary variables
+excluded), so structural properties can be checked against the per-encoding
+size formulas.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 from . import cardinality
 from .cnf import (
     CnfInstance,
+    Lit,
     TAG_ATOM,
     TAG_BLOCK,
     TAG_COPY,
@@ -33,14 +35,12 @@ from .cnf import (
     TAG_TRI,
     TAG_VAL,
     VarMap,
-    VarName,
     tseitin_append,
 )
 from .kb import (
     And,
     Atom,
     Formula,
-    Iff,
     Implies,
     KnowledgeBase,
     Not,
@@ -53,8 +53,6 @@ from .kb import (
 )
 
 THREE_VALUES = ("t", "f", "b")
-
-_LEAF_SEP = "\x00"
 
 
 def prepare_kb(kb: KnowledgeBase) -> KnowledgeBase:
@@ -71,7 +69,7 @@ class SatEncoding:
     base_signature_size: int
     # (rule tag, first clause index, one past last clause index)
     rule_spans: list[tuple[str, int, int]] = field(default_factory=list)
-    # time spent clausifying rule formulas, for runtime-composition reports
+    # time spent clausifying the rules that embed KB formulas
     cnf_transform_seconds: float = 0.0
 
     @property
@@ -90,28 +88,19 @@ class MaxSatContension:
 
 
 class _Builder:
-    """Accumulates tagged rules and compiles them into one clause set."""
+    """Accumulates tagged rules into one clause set."""
 
     def __init__(self) -> None:
         self.vm = VarMap()
         self.clauses: list[list[int]] = []
         self.spans: list[tuple[str, int, int]] = []
-        self._leaf_names: dict[str, VarName] = {}
         self._cnf_seconds = 0.0
 
-    def leaf(self, name: VarName) -> Atom:
-        """An AST leaf standing for the solver variable named `name`."""
-        key = _LEAF_SEP.join(str(part) for part in name)
-        self._leaf_names[key] = name
-        return Atom(key)
-
-    def _leaf_var(self, key: str) -> int:
-        return self.vm.var(self._leaf_names[key])
-
     def assert_formula(self, tag: str, formula: Formula) -> None:
+        """Tseitin-clausify a rule that embeds a KB formula."""
         start = len(self.clauses)
         begin = time.perf_counter()
-        tseitin_append(formula, self.vm, self.clauses, self._leaf_var)
+        tseitin_append(formula, self.vm, self.clauses)
         self._cnf_seconds += time.perf_counter() - begin
         self._record(tag, start)
 
@@ -133,6 +122,20 @@ class _Builder:
         assert self.vm.base_count() == base_size, "base signature drifted"
         cnf = CnfInstance(len(self.vm), self.clauses, self.vm)
         return SatEncoding(measure, bound, cnf, base_size, self.spans, self._cnf_seconds)
+
+
+def _iff(a: int, b: int) -> list[list[int]]:
+    return [[-a, b], [a, -b]]
+
+
+def _iff_and(v: int, a: int, b: int) -> list[list[int]]:
+    """v <-> a & b; with every literal negated, v <-> a | b."""
+    return [[-v, a], [-v, b], [v, -a, -b]]
+
+
+def _iff_neither(v: int, a: int, b: int, c: int, d: int) -> list[list[int]]:
+    """v <-> !(a & b) & !c & !d."""
+    return [[-v, -a, -b], [-v, -c], [-v, -d], [v, a, c, d], [v, b, c, d]]
 
 
 # ---------------------------------------------------------------------------
@@ -158,74 +161,44 @@ def encode_contension(
             b.vm.var((TAG_VAL, _site_key(site), v))
     base_size = 3 * len(atoms) + 3 * len(sites)
 
-    def tri(x: str, v: str) -> Atom:
-        return b.leaf((TAG_TRI, x, v))
+    def tri(x: str, v: str) -> int:
+        return b.vm.id_of((TAG_TRI, x, v))
 
-    def val(site, v: str) -> Atom:
-        return b.leaf((TAG_VAL, _site_key(site), v))
+    def val(site, v: str) -> int:
+        return b.vm.id_of((TAG_VAL, _site_key(site), v))
 
     for x in atoms:  # SC3: exactly one of X_t, X_f, X_b
-        b.assert_formula(
-            "SC3",
-            And(
-                Or(tri(x, "t"), Or(tri(x, "f"), tri(x, "b"))),
-                And(
-                    Or(Not(tri(x, "t")), Not(tri(x, "f"))),
-                    And(
-                        Or(Not(tri(x, "t")), Not(tri(x, "b"))),
-                        Or(Not(tri(x, "b")), Not(tri(x, "f"))),
-                    ),
-                ),
-            ),
-        )
+        t, f, bb = tri(x, "t"), tri(x, "f"), tri(x, "b")
+        b.add_clauses("SC3", [[t, f, bb], [-t, -f], [-t, -bb], [-bb, -f]])
     for site, node in sites:
-        if isinstance(node, And):  # SC4-SC6
-            l, r = site.child(0), site.child(1)
-            b.assert_formula("SC4", Iff(val(site, "t"), And(val(l, "t"), val(r, "t"))))
-            b.assert_formula("SC5", Iff(val(site, "f"), Or(val(l, "f"), val(r, "f"))))
-            b.assert_formula(
-                "SC6",
-                Iff(
-                    val(site, "b"),
-                    And(
-                        Or(Not(val(l, "t")), Not(val(r, "t"))),
-                        And(Not(val(l, "f")), Not(val(r, "f"))),
-                    ),
-                ),
-            )
-        elif isinstance(node, Or):  # SC7-SC9
-            l, r = site.child(0), site.child(1)
-            b.assert_formula("SC7", Iff(val(site, "t"), Or(val(l, "t"), val(r, "t"))))
-            b.assert_formula("SC8", Iff(val(site, "f"), And(val(l, "f"), val(r, "f"))))
-            b.assert_formula(
-                "SC9",
-                Iff(
-                    val(site, "b"),
-                    And(
-                        Or(Not(val(l, "f")), Not(val(r, "f"))),
-                        And(Not(val(l, "t")), Not(val(r, "t"))),
-                    ),
-                ),
-            )
+        vt, vf, vb = (val(site, v) for v in THREE_VALUES)
+        if isinstance(node, (And, Or)):  # SC4-SC6 / SC7-SC9
+            lt, lf, _ = (val(site.child(0), v) for v in THREE_VALUES)
+            rt, rf, _ = (val(site.child(1), v) for v in THREE_VALUES)
+            if isinstance(node, And):
+                b.add_clauses("SC4", _iff_and(vt, lt, rt))
+                b.add_clauses("SC5", _iff_and(-vf, -lf, -rf))
+                b.add_clauses("SC6", _iff_neither(vb, lt, rt, lf, rf))
+            else:
+                b.add_clauses("SC7", _iff_and(-vt, -lt, -rt))
+                b.add_clauses("SC8", _iff_and(vf, lf, rf))
+                b.add_clauses("SC9", _iff_neither(vb, lf, rf, lt, rt))
         elif isinstance(node, Not):  # SC10-SC12
             c = site.child(0)
-            b.assert_formula("SC10", Iff(val(site, "t"), val(c, "f")))
-            b.assert_formula("SC11", Iff(val(site, "f"), val(c, "t")))
-            b.assert_formula("SC12", Iff(val(site, "b"), val(c, "b")))
+            b.add_clauses("SC10", _iff(vt, val(c, "f")))
+            b.add_clauses("SC11", _iff(vf, val(c, "t")))
+            b.add_clauses("SC12", _iff(vb, val(c, "b")))
         elif isinstance(node, Atom):  # SC13-SC15
-            b.assert_formula("SC13", Iff(val(site, "t"), tri(node.name, "t")))
-            b.assert_formula("SC14", Iff(val(site, "f"), tri(node.name, "f")))
-            b.assert_formula("SC15", Iff(val(site, "b"), tri(node.name, "b")))
-        else:
-            # Whole-formula constant left by folding; fix its valuation.
-            target = "t" if isinstance(node, Top) else "f"
-            for v in THREE_VALUES:
-                sign = (lambda a: a) if v == target else Not
-                b.assert_formula("SC-const", sign(val(site, v)))
+            b.add_clauses("SC13", _iff(vt, tri(node.name, "t")))
+            b.add_clauses("SC14", _iff(vf, tri(node.name, "f")))
+            b.add_clauses("SC15", _iff(vb, tri(node.name, "b")))
+        else:  # whole-formula constant left by folding; fix its valuation
+            top = isinstance(node, Top)
+            b.add_clauses("SC-const", [[vt if top else -vt], [-vf if top else vf], [-vb]])
     for idx in range(len(pkb)):  # SC16: every KB member is t or b
         root = next(site for site, _ in sites if site.formula_index == idx and not site.path)
-        b.assert_formula("SC16", Or(val(root, "t"), val(root, "b")))
-    b_vars = [b.vm.id_of((TAG_TRI, x, "b")) for x in atoms]
+        b.add_clauses("SC16", [[val(root, "t"), val(root, "b")]])
+    b_vars = [tri(x, "b") for x in atoms]
     b.at_most("SC17", u, b_vars, card_method)
     return b.finish("contension", u, base_size)
 
@@ -234,18 +207,12 @@ def encode_contension_maxsat(
     kb: KnowledgeBase, card_method: str = "sequential"
 ) -> MaxSatContension:
     """Hard clauses SC3-SC16 with one weight-1 soft unit !X_b per atom."""
-    pkb = prepare_kb(kb)
-    atoms = pkb.signature()
+    atoms = prepare_kb(kb).signature()
+    # At u = |atoms| the cardinality constraint SC17 is empty.
     enc = encode_contension(kb, len(atoms), card_method)
-    # Rebuild without the cardinality constraint: everything but SC17.
-    keep_end = min(
-        (start for tag, start, _ in enc.rule_spans if tag == "SC17"),
-        default=len(enc.cnf.clauses),
-    )
-    hard = CnfInstance(enc.cnf.num_vars, enc.cnf.clauses[:keep_end], enc.cnf.varmap)
-    soft = [-enc.cnf.varmap.id_of((TAG_TRI, x, "b")) for x in atoms]
+    soft = [-enc.varmap.id_of((TAG_TRI, x, "b")) for x in atoms]
     return MaxSatContension(
-        hard, soft, enc.base_signature_size, enc.cnf_transform_seconds
+        enc.cnf, soft, enc.base_signature_size, enc.cnf_transform_seconds
     )
 
 
@@ -265,6 +232,9 @@ def encode_forgetting(
         b.vm.var((TAG_FORGET_BOT, occ.atom, occ.label))
     base_size = 3 * len(occurrences)
 
+    def var(tag: str, occ) -> int:
+        return b.vm.id_of((tag, occ.atom, occ.label))
+
     # SF3: replace each occurrence X^l by (t_{X,l} | X^l) & !f_{X,l}.
     by_formula: dict[int, list] = {}
     for occ in occurrences:
@@ -273,11 +243,8 @@ def encode_forgetting(
         substituted = formula
         for occ in by_formula.get(idx, ()):
             switch = And(
-                Or(
-                    b.leaf((TAG_FORGET_TOP, occ.atom, occ.label)),
-                    b.leaf((TAG_OCC, occ.atom, occ.label)),
-                ),
-                Not(b.leaf((TAG_FORGET_BOT, occ.atom, occ.label))),
+                Or(Lit(var(TAG_FORGET_TOP, occ)), Lit(var(TAG_OCC, occ))),
+                Not(Lit(var(TAG_FORGET_BOT, occ))),
             )
             substituted = replace_at(substituted, occ.site.path, switch)
         b.assert_formula("SF3", substituted)
@@ -285,28 +252,13 @@ def encode_forgetting(
     by_atom: dict[str, list] = {}
     for occ in occurrences:
         by_atom.setdefault(occ.atom, []).append(occ)
-    for atom, occs in sorted(by_atom.items()):
-        first = occs[0]
+    for _, occs in sorted(by_atom.items()):
         for occ in occs[1:]:
-            b.assert_formula(
-                "SF-link",
-                Iff(
-                    b.leaf((TAG_OCC, atom, first.label)),
-                    b.leaf((TAG_OCC, atom, occ.label)),
-                ),
-            )
+            b.add_clauses("SF-link", _iff(var(TAG_OCC, occs[0]), var(TAG_OCC, occ)))
     for occ in occurrences:  # SF4
-        b.assert_formula(
-            "SF4",
-            Or(
-                Not(b.leaf((TAG_FORGET_TOP, occ.atom, occ.label))),
-                Not(b.leaf((TAG_FORGET_BOT, occ.atom, occ.label))),
-            ),
-        )
+        b.add_clauses("SF4", [[-var(TAG_FORGET_TOP, occ), -var(TAG_FORGET_BOT, occ)]])
     forget_vars = [
-        b.vm.id_of((tag, occ.atom, occ.label))
-        for occ in occurrences
-        for tag in (TAG_FORGET_TOP, TAG_FORGET_BOT)
+        var(tag, occ) for occ in occurrences for tag in (TAG_FORGET_TOP, TAG_FORGET_BOT)
     ]
     b.at_most("SF5", u, forget_vars, card_method)
     return b.finish("forgetting", u, base_size)
@@ -337,15 +289,12 @@ def encode_hs(
     base_size = blocks * (len(atoms) + len(pkb))
     for idx, formula in enumerate(pkb):
         for i in range(1, blocks + 1):
-            copy = substitute_atoms(formula, lambda x, i=i: b.leaf((TAG_COPY, x, i)))
-            b.assert_formula(
-                "SH3", Implies(b.leaf((TAG_BLOCK, idx, i)), copy)
-            )
+            copy = substitute_atoms(formula, lambda x, i=i: Lit(b.vm.id_of((TAG_COPY, x, i))))
+            b.assert_formula("SH3", Implies(Lit(b.vm.id_of((TAG_BLOCK, idx, i))), copy))
     for idx in range(len(pkb)):  # SH4
-        clause: Formula = b.leaf((TAG_BLOCK, idx, 1))
-        for i in range(2, blocks + 1):
-            clause = Or(clause, b.leaf((TAG_BLOCK, idx, i)))
-        b.assert_formula("SH4", clause)
+        b.add_clauses(
+            "SH4", [[b.vm.id_of((TAG_BLOCK, idx, i)) for i in range(1, blocks + 1)]]
+        )
     return b.finish("hitting-set", blocks, base_size)
 
 
@@ -370,15 +319,15 @@ def _encode_distance_common(
     base_size = len(atoms) + 2 * n * len(atoms)
     for idx, formula in enumerate(pkb):  # SDM4/SDS4: assert the i-th copy
         i = idx + 1
-        copy = substitute_atoms(formula, lambda x, i=i: b.leaf((TAG_COPY, x, i)))
+        copy = substitute_atoms(formula, lambda x, i=i: Lit(b.vm.id_of((TAG_COPY, x, i))))
         b.assert_formula(f"{tags}4", copy)
-    for x in atoms:  # SDM5-SDM6 / SDS5-SDS6
+    for x in atoms:  # SDM5-SDM6 / SDS5-SDS6: xi != xo implies inv
+        xo = b.vm.id_of((TAG_OPT, x))
         for i in range(1, n + 1):
-            xi = b.leaf((TAG_COPY, x, i))
-            xo = b.leaf((TAG_OPT, x))
-            inv = b.leaf((TAG_INV, x, i))
-            b.assert_formula(f"{tags}5", Implies(xi, Or(xo, inv)))
-            b.assert_formula(f"{tags}6", Implies(Not(xi), Or(Not(xo), inv)))
+            xi = b.vm.id_of((TAG_COPY, x, i))
+            inv = b.vm.id_of((TAG_INV, x, i))
+            b.add_clauses(f"{tags}5", [[-xi, xo, inv]])
+            b.add_clauses(f"{tags}6", [[xi, -xo, inv]])
     if per_formula_bound:  # SDM7: one bound per formula index
         for i in range(1, n + 1):
             inv_vars = [b.vm.id_of((TAG_INV, x, i)) for x in atoms]
@@ -413,8 +362,8 @@ def encode_dhit(kb: KnowledgeBase, u: int, card_method: str = "sequential") -> S
         b.vm.var((TAG_ATOM, x))
     base_size = len(atoms) + len(pkb)
     for idx, formula in enumerate(pkb):  # SDH3
-        body = substitute_atoms(formula, lambda x: b.leaf((TAG_ATOM, x)))
-        b.assert_formula("SDH3", Or(body, b.leaf((TAG_HIT, idx))))
+        # Atom leaves clausify to the (atom, x) variables allocated above.
+        b.assert_formula("SDH3", Or(formula, Lit(b.vm.id_of((TAG_HIT, idx)))))
     hit_vars = [b.vm.id_of((TAG_HIT, idx)) for idx in range(len(pkb))]
     b.at_most("SDH4", u, hit_vars, card_method)
     return b.finish("hit-distance", u, base_size)

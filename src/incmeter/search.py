@@ -25,6 +25,7 @@ from .oracles import MeasureUndefinedError, naive_measure
 from .solver import (
     BackendConfig,
     HardClausesUnsatisfiableError,
+    MaxSatInstance,
     SolveStatus,
     solve,
     solve_maxsat,
@@ -99,6 +100,7 @@ class _PhaseClock:
     def __init__(self) -> None:
         self.start = time.perf_counter()
         self.acc = {"encoding": 0.0, "cnfTransform": 0.0, "solving": 0.0}
+        self.calls = 0  # SAT calls that ran, timed-out ones included
 
     def outcome(self, measure: str, method: str, value: Value | None,
                 calls: int, status: str = "ok",
@@ -111,7 +113,7 @@ class _PhaseClock:
 
 def _probe(measure: str, kb: KnowledgeBase, bound: int, cfg: RunConfig,
            clock: _PhaseClock, deadline: float) -> bool | None:
-    """One upper-bound query; None signals a backend timeout."""
+    """One upper-bound query; None signals a timeout, before or in the solver."""
     begin = time.perf_counter()
     enc = encodings.encode(measure, kb, bound, cfg.card_method)
     elapsed = time.perf_counter() - begin
@@ -123,6 +125,7 @@ def _probe(measure: str, kb: KnowledgeBase, bound: int, cfg: RunConfig,
     begin = time.perf_counter()
     result = solve(enc.cnf, replace(cfg.backend, timeout=remaining))
     clock.acc["solving"] += time.perf_counter() - begin
+    clock.calls += 1
     if result.status is SolveStatus.TIMEOUT:
         return None
     return result.status is SolveStatus.SAT
@@ -147,13 +150,11 @@ def binary_search(measure: str, kb: KnowledgeBase, cfg: RunConfig | None = None)
     rng = search_range(measure, kb)
     lo, hi = rng.min, rng.max
     inc_val = -1
-    calls = 0
     while lo <= hi:
         mid = lo + (hi - lo) // 2
         verdict = _probe(measure, kb, mid, cfg, clock, deadline)
         if verdict is None:
-            return clock.outcome(measure, "sat-binary", None, calls, "timeout", (lo, hi))
-        calls += 1
+            return clock.outcome(measure, "sat-binary", None, clock.calls, "timeout", (lo, hi))
         if verdict:
             if inc_val < 0 or mid < inc_val:
                 inc_val = mid
@@ -161,7 +162,7 @@ def binary_search(measure: str, kb: KnowledgeBase, cfg: RunConfig | None = None)
         else:
             lo = mid + 1
     value = _exhausted(measure, rng) if inc_val < 0 else inc_val
-    return clock.outcome(measure, "sat-binary", value, calls)
+    return clock.outcome(measure, "sat-binary", value, clock.calls)
 
 
 def linear_search(measure: str, kb: KnowledgeBase, cfg: RunConfig | None = None) -> SearchOutcome:
@@ -172,15 +173,13 @@ def linear_search(measure: str, kb: KnowledgeBase, cfg: RunConfig | None = None)
     if len(kb) == 0:
         return clock.outcome(measure, "sat-linear", 0, 0)
     rng = search_range(measure, kb)
-    calls = 0
     for u in range(rng.min, rng.max + 1):
         verdict = _probe(measure, kb, u, cfg, clock, deadline)
         if verdict is None:
-            return clock.outcome(measure, "sat-linear", None, calls, "timeout", (u, rng.max))
-        calls += 1
+            return clock.outcome(measure, "sat-linear", None, clock.calls, "timeout", (u, rng.max))
         if verdict:
-            return clock.outcome(measure, "sat-linear", u, calls)
-    return clock.outcome(measure, "sat-linear", _exhausted(measure, rng), calls)
+            return clock.outcome(measure, "sat-linear", u, clock.calls)
+    return clock.outcome(measure, "sat-linear", _exhausted(measure, rng), clock.calls)
 
 
 def _compute_maxsat(measure: str, kb: KnowledgeBase, cfg: RunConfig) -> SearchOutcome:
@@ -192,13 +191,11 @@ def _compute_maxsat(measure: str, kb: KnowledgeBase, cfg: RunConfig) -> SearchOu
     elapsed = time.perf_counter() - begin
     clock.acc["cnfTransform"] += inst.cnf_transform_seconds
     clock.acc["encoding"] += elapsed - inst.cnf_transform_seconds
-    from .solver import MaxSatInstance
-
     stats: dict[str, int] = {}
     begin = time.perf_counter()
     try:
         cost, _model = solve_maxsat(
-            MaxSatInstance(inst.hard, inst.soft_units, inst.hard.varmap),
+            MaxSatInstance(inst.hard, inst.soft_units),
             cfg.backend,
             stats=stats,
         )

@@ -20,12 +20,12 @@ import shutil
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 from .cardinality import CounterAllocator, at_most_sequential
-from .cnf import CnfInstance, VarMap
+from .cnf import CnfInstance
 
 
 class SolveStatus(Enum):
@@ -471,7 +471,6 @@ class MaxSatInstance:
 
     hard: CnfInstance
     soft_units: list[int]
-    varmap: VarMap = field(default_factory=VarMap)
 
 
 def solve_maxsat(

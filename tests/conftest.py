@@ -79,6 +79,15 @@ def fake_solver(tmp_path):
     return str(script)
 
 
+@pytest.fixture
+def sleepy_solver(tmp_path):
+    """An executable DIMACS solver that never answers within a test's timeout."""
+    script = tmp_path / "sleepysat"
+    script.write_text(f"#!{sys.executable}\nimport time\ntime.sleep(30)\n")
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    return str(script)
+
+
 def hypothesis_formulas(atoms=("a", "b", "c", "d", "e", "f"), constants=False,
                         max_leaves=10):
     """Strategy producing random formula trees over a small atom pool."""

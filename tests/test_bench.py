@@ -128,6 +128,39 @@ def test_agreement_ignores_timeouts():
     _check_agreement(records)  # no exception
 
 
+def test_run_matrix_records_cap_and_undefined_cells(tmp_path):
+    over_cap = parse_kb("\n".join(f"x{i} && !x{(i + 1) % 10}" for i in range(10)))
+    undefined = parse_kb("x\n- && y")
+    records = run_matrix(
+        [("cap10", over_cap), ("bottom", undefined)],
+        ["hitting-set", "contension"],
+        ["sat-binary", "naive"],
+        60,
+    )
+    status = {(r.kb_id, r.measure, r.method): r.status for r in records}
+    assert status[("cap10", "hitting-set", "naive")] == "cap"
+    assert status[("cap10", "hitting-set", "sat-binary")] == "ok"
+    assert status[("bottom", "contension", "sat-binary")] == "undefined"
+    assert status[("bottom", "hitting-set", "naive")] == "ok"
+    emit_reports(records, tmp_path, timeout_seconds=60)
+    rows = _read(tmp_path / "results.csv")
+    assert rows[0][3:5] == ["status", "value"]
+    by_cell = {tuple(row[:3]): row[3:5] for row in rows[1:]}
+    assert by_cell[("cap10", "hitting-set", "naive")] == ["cap", "cap"]
+    assert by_cell[("cap10", "hitting-set", "sat-binary")][0] == "ok"
+    summary = {tuple(row[:2]): row[2:5] for row in _read(tmp_path / "summary.csv")[1:]}
+    assert summary[("hitting-set", "naive")] == ["2", "1", "0"]
+
+
+def test_agreement_ignores_cells_that_did_not_run():
+    records = [
+        BenchRecord("kb", "hitting-set", "sat-binary", 1, 0.1, {}, 1),
+        BenchRecord("kb", "hitting-set", "naive", None, 0.0, {}, 0, "cap"),
+    ]
+    _check_agreement(records)  # no exception
+    assert not records[1].timed_out and not records[1].solved
+
+
 def _read(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))

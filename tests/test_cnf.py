@@ -105,5 +105,7 @@ def test_varmap_round_trip():
     assert vm.name_of(b) == ("tri", "x", "b")
     assert vm.id_of(("atom", "x")) == a
     assert vm.base_count() == 2
-    vm.fresh_aux()
+    aux = vm.fresh_aux()
     assert vm.base_count() == 2 and len(vm) == 3
+    assert vm.name_of(aux) == ("aux", aux)
+    assert vm.var(("atom", "y")) == 4 and vm.base_count() == 3

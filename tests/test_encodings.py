@@ -164,6 +164,17 @@ def test_every_variable_is_named(k7):
         assert enc.varmap.name_of(vid)
 
 
+def test_contension_without_bound_has_no_aux_vars(k4, k5, k7):
+    # Every rule below SC17 is written over the base signature, and SC17 is
+    # empty once u reaches the atom count.
+    for kb in (k4, k5, k7, parse_kb("x && (y || !z)\n!(x || z) && -")):
+        n_atoms = len(prepare_kb(kb).signature())
+        for u in (n_atoms, n_atoms + 1):
+            enc = encode_contension(kb, u)
+            assert enc.cnf.num_vars == enc.base_signature_size
+        assert encode_contension_maxsat(kb).hard.num_vars == enc.base_signature_size
+
+
 def test_zero_bound_compiles_to_unit_negatives(k4):
     enc = encode_dhit(k4, 0)
     tag, start, end = next(s for s in enc.rule_spans if s[0] == "SDH4")

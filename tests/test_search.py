@@ -169,3 +169,11 @@ def test_compute_maxsat_empty_kb(empty_kb):
 
 def test_method_list_is_exact():
     assert METHODS == ("sat-binary", "sat-linear", "maxsat", "naive", "asp")
+
+
+@pytest.mark.parametrize("method", ["sat-binary", "sat-linear"])
+def test_timed_out_sat_call_is_counted(k7, sleepy_solver, method):
+    backend = BackendConfig(kind="external", solver_path=sleepy_solver, timeout=0.5)
+    out = compute("hit-distance", k7, method, RunConfig(backend=backend))
+    assert out.status == "timeout"
+    assert out.solver_calls == 1

@@ -2,9 +2,6 @@
 
 import itertools
 import random
-import stat
-import sys
-import textwrap
 import time
 
 import pytest
@@ -202,19 +199,8 @@ def test_external_backend_env_fallback(fake_solver, monkeypatch):
     assert solve(CnfInstance(1, [[1]]), cfg).is_sat
 
 
-def test_external_backend_timeout_kills_process(tmp_path):
-    script = tmp_path / "sleepysat"
-    script.write_text(
-        textwrap.dedent(
-            f"""\
-            #!{sys.executable}
-            import time
-            time.sleep(30)
-            """
-        )
-    )
-    script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    cfg = BackendConfig(kind="external", solver_path=str(script), timeout=0.2)
+def test_external_backend_timeout_kills_process(sleepy_solver):
+    cfg = BackendConfig(kind="external", solver_path=sleepy_solver, timeout=0.2)
     res = solve(CnfInstance(1, [[1]]), cfg)
     assert res.status is SolveStatus.TIMEOUT
 
