@@ -4,8 +4,10 @@ Two encodings over a list of solver variables:
 
 * binomial — one all-negative clause per (k+1)-subset, C(n, k+1) clauses,
   no auxiliary variables; fine for tiny inputs and for cross-validation.
-* sequential — the sequential-counter construction with (n-1)*k auxiliary
-  register variables and O(n*k) clauses; the default used by the encodings.
+* sequential — the sequential-counter construction with O(n*k) auxiliary
+  register variables and clauses; the default used by the encodings.
+  :class:`SequentialCounter` grows it column by column and bounds the count
+  by one literal, so a search can add bounds by assumption.
 
 Both treat k >= n as the empty constraint and k == 0 as unit negatives.
 """
@@ -39,37 +41,66 @@ def at_most_binomial(k: int, variables: Sequence[int]) -> list[list[int]]:
     return [[-v for v in subset] for subset in combinations(variables, k + 1)]
 
 
+class SequentialCounter:
+    """Sequential counter over `variables`, grown one register column at a time.
+
+    Register s[i][j] (j <= i) is forced true once at least j+1 of the first
+    i+1 inputs are true; column j holds s[j][j] .. s[n-1][j].  Every clause
+    only pushes registers up, so the inputs count at most k exactly when
+    !s[n-1][k] can hold, and that one literal bounds the count.  Columns once
+    built serve every later bound, which lets a search probe bounds by
+    assumption instead of re-encoding.
+    """
+
+    def __init__(self, variables: Sequence[int], alloc: AuxAllocator):
+        self.x = list(variables)
+        self.alloc = alloc
+        self.columns: list[list[int]] = []  # columns[j][i - j] is s[i][j]
+
+    def at_most(self, k: int) -> tuple[list[list[int]], int | None]:
+        """The clauses of the columns bound k still needs, and the literal
+        that bounds the count by k (None when k >= n leaves nothing to bound)."""
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        n = len(self.x)
+        if k >= n:
+            return [], None
+        clauses: list[list[int]] = []
+        x, cols = self.x, self.columns
+        for j in range(len(cols), k + 1):
+            col = [self.alloc.fresh_aux() for _ in range(j, n)]
+            if j == 0:
+                clauses.append([-x[0], col[0]])
+                for i in range(1, n):
+                    clauses.append([-x[i], col[i]])
+                    clauses.append([-col[i - 1], col[i]])
+            else:
+                prev = cols[j - 1]  # prev[i - j + 1] is s[i][j-1]
+                clauses.append([-x[j], -prev[0], col[0]])
+                for i in range(j + 1, n):
+                    clauses.append([-x[i], -prev[i - j], col[i - j]])
+                    clauses.append([-col[i - j - 1], col[i - j]])
+            cols.append(col)
+        return clauses, -cols[k][-1]
+
+
 def at_most_sequential(
     k: int, variables: Sequence[int], alloc: AuxAllocator
 ) -> list[list[int]]:
-    """Sequential counter for sum(variables) <= k.
+    """Sequential counter for sum(variables) <= k, as a one-shot clause set:
+    the counter's columns up to k with its bounding literal as a unit.
 
-    Register variable s[i][j] means "at least j+1 of the first i+1 inputs are
-    true".  Any total assignment of the inputs extends to a satisfying
-    assignment of the returned clauses iff at most k inputs are true.
+    Any total assignment of the inputs extends to a satisfying assignment of
+    the returned clauses iff at most k inputs are true.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    n = len(variables)
-    if k >= n:
+    if k >= len(variables):
         return []
     if k == 0:
         return [[-v] for v in variables]
-    clauses: list[list[int]] = []
-    regs = [[alloc.fresh_aux() for _ in range(k)] for _ in range(n - 1)]
-    x = list(variables)
-    clauses.append([-x[0], regs[0][0]])
-    for j in range(1, k):
-        clauses.append([-regs[0][j]])
-    for i in range(1, n - 1):
-        clauses.append([-x[i], regs[i][0]])
-        clauses.append([-regs[i - 1][0], regs[i][0]])
-        for j in range(1, k):
-            clauses.append([-x[i], -regs[i - 1][j - 1], regs[i][j]])
-            clauses.append([-regs[i - 1][j], regs[i][j]])
-        clauses.append([-x[i], -regs[i - 1][k - 1]])
-    clauses.append([-x[n - 1], -regs[n - 2][k - 1]])
-    return clauses
+    clauses, lit = SequentialCounter(variables, alloc).at_most(k)
+    return clauses + [[lit]]
 
 
 def sequential_clause_bound(n: int, k: int) -> int:

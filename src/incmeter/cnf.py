@@ -83,9 +83,14 @@ class VarMap:
 
 @dataclass
 class CnfInstance:
+    """A clause set that only ever grows: variables and clauses may be
+    appended, never changed, so a solver engine kept with it (``engine``)
+    stays valid and loads only what was appended."""
+
     num_vars: int
     clauses: list[list[int]]
     varmap: VarMap = field(default_factory=VarMap)
+    engine: object = field(default=None, repr=False, compare=False)
 
     def validate(self) -> None:
         for clause in self.clauses:

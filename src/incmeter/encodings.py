@@ -3,7 +3,11 @@
 Each ``encode_*`` function builds a propositional instance that is
 satisfiable exactly when the measure's value is at most the given bound
 (for the hitting-set measure the bound is a block count, satisfiable iff
-the value is at most ``blocks - 1``).
+the value is at most ``blocks - 1``).  Called without a bound, it builds only
+the rules every bound shares; a search then probes each bound through
+:meth:`SatEncoding.assume`, which appends what that bound adds (counter
+columns, blocks) and returns literals to assume, so the instance is encoded
+once per search and only ever grows.
 
 Construction follows a fixed shape: allocate the base signature, write the
 fixed-shape rules as clauses over it, clausify the rules that embed a KB
@@ -11,13 +15,14 @@ formula with the Tseitin converter, and attach cardinality constraints in
 clausal form.  The resulting :class:`SatEncoding` records which clause range
 each rule produced and the size of the base signature (auxiliary variables
 excluded), so structural properties can be checked against the per-encoding
-size formulas.
-"""
+size formulas.  Every encoder accepts a KB that :func:`prepare_kb` already
+prepared and then does not prepare it again."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from . import cardinality
 from .cnf import (
@@ -55,26 +60,122 @@ from .kb import (
 THREE_VALUES = ("t", "f", "b")
 
 
-def prepare_kb(kb: KnowledgeBase) -> KnowledgeBase:
+class PreparedKB(KnowledgeBase):
+    """A KB whose formulas :func:`prepare_kb` has already reduced and folded."""
+
+
+def prepare_kb(kb: KnowledgeBase) -> PreparedKB:
     """Reduce => / <=> and fold constants; the per-formula result is either
     constant-free or exactly + / -."""
-    return KnowledgeBase(tuple(fold_constants(reduce_connectives(f)) for f in kb))
+    return PreparedKB(tuple(fold_constants(reduce_connectives(f)) for f in kb))
 
 
-@dataclass
+def prepared(kb: KnowledgeBase) -> PreparedKB:
+    """`kb` itself if :func:`prepare_kb` made it, else its prepared form."""
+    return kb if isinstance(kb, PreparedKB) else prepare_kb(kb)
+
+
 class SatEncoding:
-    measure: str
-    bound: int
-    cnf: CnfInstance
-    base_signature_size: int
-    # (rule tag, first clause index, one past last clause index)
-    rule_spans: list[tuple[str, int, int]] = field(default_factory=list)
-    # time spent clausifying the rules that embed KB formulas
-    cnf_transform_seconds: float = 0.0
+    """One measure's upper-bound instance of one KB, as tagged rules.
+
+    With a bound, the instance is satisfiable exactly when the measure's
+    value is at most the bound.  Without one (``bound`` is None) it holds
+    only the rules every bound shares, and :meth:`assume` adds each probed
+    bound.  ``rule_spans`` records which clause range each rule produced and
+    ``base_signature_size`` counts the named variables (auxiliary ones
+    excluded), so structural properties can be checked against the
+    per-encoding size formulas.
+    """
+
+    def __init__(self, measure: str, bound: int | None) -> None:
+        self.measure = measure
+        self.bound = bound
+        self.cnf = CnfInstance(0, [], VarMap())
+        self.base_signature_size = 0
+        # (rule tag, first clause index, one past last clause index)
+        self.rule_spans: list[tuple[str, int, int]] = []
+        # time spent clausifying the rules that embed KB formulas
+        self.cnf_transform_seconds = 0.0
+        self._assume: Callable[[int], list[int]] | None = None
 
     @property
     def varmap(self) -> VarMap:
         return self.cnf.varmap
+
+    def assume(self, bound: int) -> list[int]:
+        """Append what probing `bound` adds to the bound-free instance and
+        return the literals to assume: under them the instance is
+        satisfiable exactly when the value is at most `bound`.  Clauses are
+        only ever appended, so one solver engine serves every probe."""
+        if self._assume is None:
+            raise ValueError("only an encoding built without a bound takes assumptions")
+        lits = self._assume(bound)
+        self.cnf.num_vars = len(self.varmap)
+        return lits
+
+    def assert_formula(self, tag: str, formula: Formula) -> None:
+        """Tseitin-clausify a rule that embeds a KB formula."""
+        start = len(self.cnf.clauses)
+        begin = time.perf_counter()
+        tseitin_append(formula, self.varmap, self.cnf.clauses)
+        self.cnf_transform_seconds += time.perf_counter() - begin
+        self._record(tag, start)
+
+    def add_clauses(self, tag: str, clauses: list[list[int]]) -> None:
+        start = len(self.cnf.clauses)
+        self.cnf.clauses.extend(clauses)
+        self._record(tag, start)
+
+    def at_most(self, tag: str, groups: list[list[int]], method: str) -> None:
+        """At most the bound of each group's variables are true: clauses now
+        for a fixed bound, a counter per group grown by :meth:`assume`
+        without one."""
+        if self.bound is not None:
+            for variables in groups:
+                self.add_clauses(
+                    tag, cardinality.at_most(self.bound, variables, self.varmap, method)
+                )
+        elif method == "sequential":
+            counters = [cardinality.SequentialCounter(g, self.varmap) for g in groups]
+
+            def assume(u: int) -> list[int]:
+                lits = []
+                for counter in counters:
+                    clauses, lit = counter.at_most(u)
+                    self.add_clauses(tag, clauses)
+                    if lit is not None:
+                        lits.append(lit)
+                return lits
+
+            self._assume = assume
+        elif method == "binomial":
+
+            def assume(u: int) -> list[int]:  # each bound behind its own switch
+                switch = self.varmap.fresh_aux()
+                self.add_clauses(tag, [
+                    [-switch, *clause]
+                    for variables in groups
+                    for clause in cardinality.at_most_binomial(u, variables)
+                ])
+                return [switch]
+
+            self._assume = assume
+        else:
+            raise ValueError(f"unknown cardinality method {method!r}")
+
+    def _record(self, tag: str, start: int) -> None:
+        end = len(self.cnf.clauses)
+        spans = self.rule_spans
+        if spans and spans[-1][0] == tag and spans[-1][2] == start:
+            spans[-1] = (tag, spans[-1][1], end)
+        elif end > start:
+            spans.append((tag, start, end))
+
+    def finish(self, base_size: int) -> SatEncoding:
+        assert self.varmap.base_count() == base_size, "base signature drifted"
+        self.base_signature_size = base_size
+        self.cnf.num_vars = len(self.varmap)
+        return self
 
 
 @dataclass
@@ -85,43 +186,6 @@ class MaxSatContension:
     soft_units: list[int]
     base_signature_size: int
     cnf_transform_seconds: float = 0.0
-
-
-class _Builder:
-    """Accumulates tagged rules into one clause set."""
-
-    def __init__(self) -> None:
-        self.vm = VarMap()
-        self.clauses: list[list[int]] = []
-        self.spans: list[tuple[str, int, int]] = []
-        self._cnf_seconds = 0.0
-
-    def assert_formula(self, tag: str, formula: Formula) -> None:
-        """Tseitin-clausify a rule that embeds a KB formula."""
-        start = len(self.clauses)
-        begin = time.perf_counter()
-        tseitin_append(formula, self.vm, self.clauses)
-        self._cnf_seconds += time.perf_counter() - begin
-        self._record(tag, start)
-
-    def add_clauses(self, tag: str, clauses: list[list[int]]) -> None:
-        start = len(self.clauses)
-        self.clauses.extend(clauses)
-        self._record(tag, start)
-
-    def at_most(self, tag: str, k: int, variables: list[int], method: str) -> None:
-        self.add_clauses(tag, cardinality.at_most(k, variables, self.vm, method))
-
-    def _record(self, tag: str, start: int) -> None:
-        if self.spans and self.spans[-1][0] == tag and self.spans[-1][2] == start:
-            self.spans[-1] = (tag, self.spans[-1][1], len(self.clauses))
-        elif len(self.clauses) > start:
-            self.spans.append((tag, start, len(self.clauses)))
-
-    def finish(self, measure: str, bound: int, base_size: int) -> SatEncoding:
-        assert self.vm.base_count() == base_size, "base signature drifted"
-        cnf = CnfInstance(len(self.vm), self.clauses, self.vm)
-        return SatEncoding(measure, bound, cnf, base_size, self.spans, self._cnf_seconds)
 
 
 def _iff(a: int, b: int) -> list[list[int]]:
@@ -147,25 +211,25 @@ def _site_key(site) -> tuple:
 
 
 def encode_contension(
-    kb: KnowledgeBase, u: int, card_method: str = "sequential"
+    kb: KnowledgeBase, u: int | None = None, card_method: str = "sequential"
 ) -> SatEncoding:
-    pkb = prepare_kb(kb)
+    pkb = prepared(kb)
     atoms = pkb.signature()
     sites = pkb.subformula_sites()
-    b = _Builder()
+    b = SatEncoding("contension", u)
     for x in atoms:  # SC1
         for v in THREE_VALUES:
-            b.vm.var((TAG_TRI, x, v))
+            b.varmap.var((TAG_TRI, x, v))
     for site, _ in sites:  # SC2
         for v in THREE_VALUES:
-            b.vm.var((TAG_VAL, _site_key(site), v))
+            b.varmap.var((TAG_VAL, _site_key(site), v))
     base_size = 3 * len(atoms) + 3 * len(sites)
 
     def tri(x: str, v: str) -> int:
-        return b.vm.id_of((TAG_TRI, x, v))
+        return b.varmap.id_of((TAG_TRI, x, v))
 
     def val(site, v: str) -> int:
-        return b.vm.id_of((TAG_VAL, _site_key(site), v))
+        return b.varmap.id_of((TAG_VAL, _site_key(site), v))
 
     for x in atoms:  # SC3: exactly one of X_t, X_f, X_b
         t, f, bb = tri(x, "t"), tri(x, "f"), tri(x, "b")
@@ -199,17 +263,17 @@ def encode_contension(
         root = next(site for site, _ in sites if site.formula_index == idx and not site.path)
         b.add_clauses("SC16", [[val(root, "t"), val(root, "b")]])
     b_vars = [tri(x, "b") for x in atoms]
-    b.at_most("SC17", u, b_vars, card_method)
-    return b.finish("contension", u, base_size)
+    b.at_most("SC17", [b_vars], card_method)
+    return b.finish(base_size)
 
 
 def encode_contension_maxsat(
     kb: KnowledgeBase, card_method: str = "sequential"
 ) -> MaxSatContension:
     """Hard clauses SC3-SC16 with one weight-1 soft unit !X_b per atom."""
-    atoms = prepare_kb(kb).signature()
-    # At u = |atoms| the cardinality constraint SC17 is empty.
-    enc = encode_contension(kb, len(atoms), card_method)
+    pkb = prepared(kb)
+    enc = encode_contension(pkb, None, card_method)  # SC17 left out
+    atoms = pkb.signature()
     soft = [-enc.varmap.id_of((TAG_TRI, x, "b")) for x in atoms]
     return MaxSatContension(
         enc.cnf, soft, enc.base_signature_size, enc.cnf_transform_seconds
@@ -221,19 +285,19 @@ def encode_contension_maxsat(
 
 
 def encode_forgetting(
-    kb: KnowledgeBase, u: int, card_method: str = "sequential"
+    kb: KnowledgeBase, u: int | None = None, card_method: str = "sequential"
 ) -> SatEncoding:
-    pkb = prepare_kb(kb)
+    pkb = prepared(kb)
     occurrences = pkb.occurrences()
-    b = _Builder()
+    b = SatEncoding("forgetting", u)
     for occ in occurrences:  # SF1-SF2
-        b.vm.var((TAG_OCC, occ.atom, occ.label))
-        b.vm.var((TAG_FORGET_TOP, occ.atom, occ.label))
-        b.vm.var((TAG_FORGET_BOT, occ.atom, occ.label))
+        b.varmap.var((TAG_OCC, occ.atom, occ.label))
+        b.varmap.var((TAG_FORGET_TOP, occ.atom, occ.label))
+        b.varmap.var((TAG_FORGET_BOT, occ.atom, occ.label))
     base_size = 3 * len(occurrences)
 
     def var(tag: str, occ) -> int:
-        return b.vm.id_of((tag, occ.atom, occ.label))
+        return b.varmap.id_of((tag, occ.atom, occ.label))
 
     # SF3: replace each occurrence X^l by (t_{X,l} | X^l) & !f_{X,l}.
     by_formula: dict[int, list] = {}
@@ -260,8 +324,8 @@ def encode_forgetting(
     forget_vars = [
         var(tag, occ) for occ in occurrences for tag in (TAG_FORGET_TOP, TAG_FORGET_BOT)
     ]
-    b.at_most("SF5", u, forget_vars, card_method)
-    return b.finish("forgetting", u, base_size)
+    b.at_most("SF5", [forget_vars], card_method)
+    return b.finish(base_size)
 
 
 # ---------------------------------------------------------------------------
@@ -269,33 +333,57 @@ def encode_forgetting(
 
 
 def encode_hs(
-    kb: KnowledgeBase, blocks: int, card_method: str = "sequential"
+    kb: KnowledgeBase, blocks: int | None = None, card_method: str = "sequential"
 ) -> SatEncoding:
     """Satisfiable iff the KB partitions into `blocks` satisfiable blocks,
-    i.e. iff the hitting-set value is at most blocks - 1."""
+    i.e. iff the hitting-set value is at most blocks - 1.
+
+    Without a block count the instance starts empty; :meth:`SatEncoding.assume`
+    takes the value bound u, adds blocks up to u + 1 and puts that bound's
+    SH4 clauses behind a fresh switch literal to assume."""
     if len(kb) == 0:
         raise ValueError("hitting-set encoding requires a non-empty KB")
-    if not 1 <= blocks <= len(kb):
+    if blocks is not None and not 1 <= blocks <= len(kb):
         raise ValueError(f"block count {blocks} outside 1..{len(kb)}")
-    pkb = prepare_kb(kb)
+    pkb = prepared(kb)
     atoms = pkb.signature()
-    b = _Builder()
-    for x in atoms:  # SH1
+    b = SatEncoding("hitting-set", blocks)
+
+    def block(idx: int, i: int) -> int:
+        return b.varmap.id_of((TAG_BLOCK, idx, i))
+
+    def add_block(i: int) -> None:
+        for x in atoms:  # SH1
+            b.varmap.var((TAG_COPY, x, i))
+        for idx in range(len(pkb)):  # SH2
+            b.varmap.var((TAG_BLOCK, idx, i))
+        for idx, formula in enumerate(pkb):  # SH3
+            copy = substitute_atoms(formula, lambda x: Lit(b.varmap.id_of((TAG_COPY, x, i))))
+            b.assert_formula("SH3", Implies(Lit(block(idx, i)), copy))
+
+    def cover(count: int, switch: list[int]) -> None:  # SH4
+        b.add_clauses("SH4", [
+            [block(idx, i) for i in range(1, count + 1)] + switch for idx in range(len(pkb))
+        ])
+
+    if blocks is not None:
         for i in range(1, blocks + 1):
-            b.vm.var((TAG_COPY, x, i))
-    for idx in range(len(pkb)):  # SH2
-        for i in range(1, blocks + 1):
-            b.vm.var((TAG_BLOCK, idx, i))
-    base_size = blocks * (len(atoms) + len(pkb))
-    for idx, formula in enumerate(pkb):
-        for i in range(1, blocks + 1):
-            copy = substitute_atoms(formula, lambda x, i=i: Lit(b.vm.id_of((TAG_COPY, x, i))))
-            b.assert_formula("SH3", Implies(Lit(b.vm.id_of((TAG_BLOCK, idx, i))), copy))
-    for idx in range(len(pkb)):  # SH4
-        b.add_clauses(
-            "SH4", [[b.vm.id_of((TAG_BLOCK, idx, i)) for i in range(1, blocks + 1)]]
-        )
-    return b.finish("hitting-set", blocks, base_size)
+            add_block(i)
+        cover(blocks, [])
+        return b.finish(blocks * (len(atoms) + len(pkb)))
+    built = 0
+
+    def assume(u: int) -> list[int]:
+        nonlocal built
+        while built <= u:
+            built += 1
+            add_block(built)
+        switch = b.varmap.fresh_aux()
+        cover(u + 1, [-switch])
+        return [switch]
+
+    b._assume = assume
+    return b.finish(0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,48 +391,50 @@ def encode_hs(
 
 
 def _encode_distance_common(
-    kb: KnowledgeBase, u: int, per_formula_bound: bool, card_method: str
+    kb: KnowledgeBase, u: int | None, per_formula_bound: bool, card_method: str
 ) -> SatEncoding:
     tags = "SDM" if per_formula_bound else "SDS"
-    pkb = prepare_kb(kb)
+    pkb = prepared(kb)
     atoms = pkb.signature()
     n = len(pkb)
-    b = _Builder()
+    b = SatEncoding("max-distance" if per_formula_bound else "sum-distance", u)
     for x in atoms:  # SDM1/SDS1
-        b.vm.var((TAG_OPT, x))
+        b.varmap.var((TAG_OPT, x))
     for x in atoms:  # SDM2-SDM3 / SDS2-SDS3
         for i in range(1, n + 1):
-            b.vm.var((TAG_COPY, x, i))
-            b.vm.var((TAG_INV, x, i))
+            b.varmap.var((TAG_COPY, x, i))
+            b.varmap.var((TAG_INV, x, i))
     base_size = len(atoms) + 2 * n * len(atoms)
     for idx, formula in enumerate(pkb):  # SDM4/SDS4: assert the i-th copy
         i = idx + 1
-        copy = substitute_atoms(formula, lambda x, i=i: Lit(b.vm.id_of((TAG_COPY, x, i))))
+        copy = substitute_atoms(formula, lambda x, i=i: Lit(b.varmap.id_of((TAG_COPY, x, i))))
         b.assert_formula(f"{tags}4", copy)
     for x in atoms:  # SDM5-SDM6 / SDS5-SDS6: xi != xo implies inv
-        xo = b.vm.id_of((TAG_OPT, x))
+        xo = b.varmap.id_of((TAG_OPT, x))
         for i in range(1, n + 1):
-            xi = b.vm.id_of((TAG_COPY, x, i))
-            inv = b.vm.id_of((TAG_INV, x, i))
+            xi = b.varmap.id_of((TAG_COPY, x, i))
+            inv = b.varmap.id_of((TAG_INV, x, i))
             b.add_clauses(f"{tags}5", [[-xi, xo, inv]])
             b.add_clauses(f"{tags}6", [[xi, -xo, inv]])
     if per_formula_bound:  # SDM7: one bound per formula index
-        for i in range(1, n + 1):
-            inv_vars = [b.vm.id_of((TAG_INV, x, i)) for x in atoms]
-            b.at_most("SDM7", u, inv_vars, card_method)
-        return b.finish("max-distance", u, base_size)
-    inv_vars = [  # SDS7: one global bound
-        b.vm.id_of((TAG_INV, x, i)) for x in atoms for i in range(1, n + 1)
-    ]
-    b.at_most("SDS7", u, inv_vars, card_method)
-    return b.finish("sum-distance", u, base_size)
+        groups = [[b.varmap.id_of((TAG_INV, x, i)) for x in atoms] for i in range(1, n + 1)]
+        b.at_most("SDM7", groups, card_method)
+    else:  # SDS7: one global bound
+        b.at_most("SDS7", [
+            [b.varmap.id_of((TAG_INV, x, i)) for x in atoms for i in range(1, n + 1)]
+        ], card_method)
+    return b.finish(base_size)
 
 
-def encode_dmax(kb: KnowledgeBase, u: int, card_method: str = "sequential") -> SatEncoding:
+def encode_dmax(
+    kb: KnowledgeBase, u: int | None = None, card_method: str = "sequential"
+) -> SatEncoding:
     return _encode_distance_common(kb, u, True, card_method)
 
 
-def encode_dsum(kb: KnowledgeBase, u: int, card_method: str = "sequential") -> SatEncoding:
+def encode_dsum(
+    kb: KnowledgeBase, u: int | None = None, card_method: str = "sequential"
+) -> SatEncoding:
     return _encode_distance_common(kb, u, False, card_method)
 
 
@@ -352,21 +442,23 @@ def encode_dsum(kb: KnowledgeBase, u: int, card_method: str = "sequential") -> S
 # Hit-distance (drop few formulas)
 
 
-def encode_dhit(kb: KnowledgeBase, u: int, card_method: str = "sequential") -> SatEncoding:
-    pkb = prepare_kb(kb)
+def encode_dhit(
+    kb: KnowledgeBase, u: int | None = None, card_method: str = "sequential"
+) -> SatEncoding:
+    pkb = prepared(kb)
     atoms = pkb.signature()
-    b = _Builder()
+    b = SatEncoding("hit-distance", u)
     for idx in range(len(pkb)):  # SDH1
-        b.vm.var((TAG_HIT, idx))
+        b.varmap.var((TAG_HIT, idx))
     for x in atoms:  # SDH2
-        b.vm.var((TAG_ATOM, x))
+        b.varmap.var((TAG_ATOM, x))
     base_size = len(atoms) + len(pkb)
     for idx, formula in enumerate(pkb):  # SDH3
         # Atom leaves clausify to the (atom, x) variables allocated above.
-        b.assert_formula("SDH3", Or(formula, Lit(b.vm.id_of((TAG_HIT, idx)))))
-    hit_vars = [b.vm.id_of((TAG_HIT, idx)) for idx in range(len(pkb))]
-    b.at_most("SDH4", u, hit_vars, card_method)
-    return b.finish("hit-distance", u, base_size)
+        b.assert_formula("SDH3", Or(formula, Lit(b.varmap.id_of((TAG_HIT, idx)))))
+    hit_vars = [b.varmap.id_of((TAG_HIT, idx)) for idx in range(len(pkb))]
+    b.at_most("SDH4", [hit_vars], card_method)
+    return b.finish(base_size)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +467,7 @@ def encode_dhit(kb: KnowledgeBase, u: int, card_method: str = "sequential") -> S
 
 def expected_base_size(measure: str, kb: KnowledgeBase, bound: int | None = None) -> int:
     """The per-encoding signature-size formula, on the prepared KB."""
-    pkb = prepare_kb(kb)
+    pkb = prepared(kb)
     n_atoms = len(pkb.signature())
     if measure == "contension":
         return 3 * n_atoms + 3 * len(pkb.subformula_sites())
@@ -391,15 +483,22 @@ def expected_base_size(measure: str, kb: KnowledgeBase, bound: int | None = None
     raise ValueError(f"unknown measure {measure!r}")
 
 
-def encode(measure: str, kb: KnowledgeBase, bound: int, card_method: str = "sequential") -> SatEncoding:
+def encode(
+    measure: str,
+    kb: KnowledgeBase,
+    bound: int | None = None,
+    card_method: str = "sequential",
+) -> SatEncoding:
     """Build the upper-bound encoding; for hitting-set, `bound` is the value
-    and the instance uses `bound + 1` blocks."""
+    and the instance uses `bound + 1` blocks.  Without a bound, the result
+    holds the bound-free rules and takes each bound by
+    :meth:`SatEncoding.assume`."""
     if measure == "contension":
         return encode_contension(kb, bound, card_method)
     if measure == "forgetting":
         return encode_forgetting(kb, bound, card_method)
     if measure == "hitting-set":
-        return encode_hs(kb, bound + 1, card_method)
+        return encode_hs(kb, None if bound is None else bound + 1, card_method)
     if measure == "max-distance":
         return encode_dmax(kb, bound, card_method)
     if measure == "sum-distance":

@@ -8,6 +8,11 @@ hitting-set measure searches over block counts internally (satisfiability of
 the b-block instance certifies value <= b - 1), so both drivers operate on
 the plain value range [0, |K|-1].
 
+Each search runs one :class:`_Session`: the KB is prepared once, the rules
+every bound shares are encoded once, and each probe appends only what its
+bound adds and is one SAT call under assumptions on the same instance, so
+the internal engine keeps what it learned from one probe to the next.
+
 ``compute`` dispatches a (measure, method) pair to the right pipeline and
 reports phase timings split into encoding generation, CNF transformation,
 solving, and everything else.
@@ -51,7 +56,7 @@ class SearchRange:
 
 def search_range(measure: str, kb: KnowledgeBase) -> SearchRange:
     """Value range to search, computed on the prepared KB."""
-    pkb = encodings.prepare_kb(kb)
+    pkb = encodings.prepared(kb)
     n_atoms = len(pkb.signature())
     n_formulas = len(pkb)
     if measure == "contension":
@@ -111,24 +116,46 @@ class _PhaseClock:
         return SearchOutcome(measure, method, value, calls, phases, total, status, bounds)
 
 
-def _probe(measure: str, kb: KnowledgeBase, bound: int, cfg: RunConfig,
-           clock: _PhaseClock, deadline: float) -> bool | None:
-    """One upper-bound query; None signals a timeout, before or in the solver."""
-    begin = time.perf_counter()
-    enc = encodings.encode(measure, kb, bound, cfg.card_method)
-    elapsed = time.perf_counter() - begin
-    clock.acc["cnfTransform"] += enc.cnf_transform_seconds
-    clock.acc["encoding"] += elapsed - enc.cnf_transform_seconds
-    remaining = deadline - time.monotonic()
-    if remaining <= 0:
-        return None
-    begin = time.perf_counter()
-    result = solve(enc.cnf, replace(cfg.backend, timeout=remaining))
-    clock.acc["solving"] += time.perf_counter() - begin
-    clock.calls += 1
-    if result.status is SolveStatus.TIMEOUT:
-        return None
-    return result.status is SolveStatus.SAT
+class _Session:
+    """One search's SAT session over a KB prepared once.
+
+    The bound-free encoding is built on the first probe; each probe then
+    appends what its bound adds and decides the grown instance under that
+    bound's assumptions.  Once a call finds the clauses themselves
+    unsatisfiable, later probes add nothing and ask the same instance again.
+    """
+
+    def __init__(self, measure: str, kb: KnowledgeBase, cfg: RunConfig,
+                 clock: _PhaseClock, deadline: float):
+        self.measure, self.cfg, self.clock, self.deadline = measure, cfg, clock, deadline
+        self.kb = encodings.prepare_kb(kb)
+        self.range = search_range(measure, self.kb)
+        self.enc: encodings.SatEncoding | None = None
+        self.refuted = False
+
+    def probe(self, bound: int) -> bool | None:
+        """One upper-bound query; None signals a timeout, before or in the solver."""
+        clock = self.clock
+        begin = time.perf_counter()
+        tseitin_before = self.enc.cnf_transform_seconds if self.enc else 0.0
+        if self.enc is None:
+            self.enc = encodings.encode(self.measure, self.kb, None, self.cfg.card_method)
+        enc = self.enc
+        assumptions = [] if self.refuted else enc.assume(bound)
+        tseitin = enc.cnf_transform_seconds - tseitin_before
+        clock.acc["cnfTransform"] += tseitin
+        clock.acc["encoding"] += time.perf_counter() - begin - tseitin
+        remaining = self.deadline - time.monotonic()
+        if remaining <= 0:
+            return None
+        begin = time.perf_counter()
+        result = solve(enc.cnf, replace(self.cfg.backend, timeout=remaining), assumptions)
+        clock.acc["solving"] += time.perf_counter() - begin
+        clock.calls += 1
+        if result.status is SolveStatus.TIMEOUT:
+            return None
+        self.refuted = result.refuted
+        return result.status is SolveStatus.SAT
 
 
 def _exhausted(measure: str, rng: SearchRange) -> Value:
@@ -147,12 +174,13 @@ def binary_search(measure: str, kb: KnowledgeBase, cfg: RunConfig | None = None)
     deadline = time.monotonic() + cfg.timeout
     if len(kb) == 0:
         return clock.outcome(measure, "sat-binary", 0, 0)
-    rng = search_range(measure, kb)
+    session = _Session(measure, kb, cfg, clock, deadline)
+    rng = session.range
     lo, hi = rng.min, rng.max
     inc_val = -1
     while lo <= hi:
         mid = lo + (hi - lo) // 2
-        verdict = _probe(measure, kb, mid, cfg, clock, deadline)
+        verdict = session.probe(mid)
         if verdict is None:
             return clock.outcome(measure, "sat-binary", None, clock.calls, "timeout", (lo, hi))
         if verdict:
@@ -172,9 +200,10 @@ def linear_search(measure: str, kb: KnowledgeBase, cfg: RunConfig | None = None)
     deadline = time.monotonic() + cfg.timeout
     if len(kb) == 0:
         return clock.outcome(measure, "sat-linear", 0, 0)
-    rng = search_range(measure, kb)
+    session = _Session(measure, kb, cfg, clock, deadline)
+    rng = session.range
     for u in range(rng.min, rng.max + 1):
-        verdict = _probe(measure, kb, u, cfg, clock, deadline)
+        verdict = session.probe(u)
         if verdict is None:
             return clock.outcome(measure, "sat-linear", None, clock.calls, "timeout", (u, rng.max))
         if verdict:

@@ -2,19 +2,23 @@
 
 Three entry points:
 
-* :func:`solve` — complete SAT decision with model extraction, either via the
-  built-in CDCL engine or an external DIMACS solver run as a subprocess.
+* :func:`solve` — complete SAT decision under assumptions with model
+  extraction, either via the built-in CDCL engine, which stays with an
+  append-only instance between calls, or an external DIMACS solver run as a
+  subprocess, which gets the assumptions as unit clauses.
 * :func:`solve_maxsat` — unweighted MaxSAT over unit soft clauses, by binary
-  search on the number of violated softs with a cardinality constraint.
+  search on the number of violated softs, each bound assumed through one
+  growing sequential counter.
 * :func:`emit_dimacs` / :func:`emit_wcnf` / :func:`parse_solver_output` —
   the text formats spoken with external tools.
 
-Returned models are always verified against the clause set before being
-surfaced.
+Returned models are always verified against the clause set and the
+assumptions before being surfaced.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 import shutil
 import subprocess
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .cardinality import CounterAllocator, at_most_sequential
+from .cardinality import CounterAllocator, SequentialCounter
 from .cnf import CnfInstance
 
 
@@ -39,6 +43,8 @@ class SolverResult:
     status: SolveStatus
     model: dict[int, bool] | None = None
     elapsed: float = 0.0
+    # UNSAT whatever the assumptions: the clauses alone have no model
+    refuted: bool = False
 
     @property
     def is_sat(self) -> bool:
@@ -78,31 +84,53 @@ SAT_SOLVER_ENV = "INCMETER_SAT_SOLVER"
 
 
 class _Cdcl:
-    """Small conflict-driven clause-learning solver.
+    """Small incremental conflict-driven clause-learning solver.
 
     Two watched literals, 1UIP learning, geometric restarts, phase saving
     with a false-first default (cardinality registers stay low), and a
     deterministic max-activity decision rule (ties broken by variable index).
+
+    The engine outlives one call: clauses and variables may be added between
+    calls, and each call decides the clauses under a list of assumption
+    literals, taken as the first decisions (MiniSat's scheme, Eén & Sörensson,
+    SAT 2003).  Learned clauses, level-0 facts, activities and saved phases
+    carry over, since none of them depends on the assumptions.  A conflict
+    at level 0 refutes the clauses themselves, and every later call answers
+    UNSAT at once.
     """
 
-    CHECK_EVERY = 2048  # propagations between deadline checks
+    CHECK_EVERY = 2048  # ticks (propagated literals, decisions, loaded clauses)
 
-    def __init__(self, num_vars: int, deadline: float | None):
-        n = num_vars
-        self.n = n
-        self.assign = [0] * (n + 1)  # 0 free, 1 true, -1 false
-        self.level = [0] * (n + 1)
-        self.reason: list[list[int] | None] = [None] * (n + 1)
-        self.saved = [False] * (n + 1)
-        self.activity = [0.0] * (n + 1)
+    def __init__(self) -> None:
+        self.n = 0
+        self.assign = [0]  # 0 free, 1 true, -1 false
+        self.level = [0]
+        self.reason: list[list[int] | None] = [None]
+        self.saved = [False]
+        self.activity = [0.0]
         self.act_inc = 1.0
+        self.seen = bytearray(1)  # scratch for _analyze, all zero between calls
+        # Decision order: a lazy heap of (-activity, var) holding every free
+        # variable of positive activity (stale keys and assigned variables
+        # are skipped when popped), plus a cursor below which no free variable
+        # has zero activity.  Zero-activity variables stay out of the heap.
+        self.heap: list[tuple[float, int]] = []
+        self.in_heap = bytearray(1)  # an entry with the current key is queued
+        self.bumped: list[int] = []  # variables of positive activity
+        self.cursor = 1
         self.watches: dict[int, list[list[int]]] = {}
-        self.clauses: list[list[int]] = []
         self.trail: list[int] = []
         self.qhead = 0
-        self.deadline = deadline
-        self.ok = True
+        self.loaded = 0  # clauses of the instance added so far
+        self.deadline: float | None = None
+        self.ok = True  # False once the clauses are refuted
         self.ticks = 0
+
+    def _tick(self) -> None:
+        self.ticks += 1
+        if self.deadline is not None and self.ticks % self.CHECK_EVERY == 0:
+            if time.monotonic() > self.deadline:
+                raise _DeadlineReached
 
     def _value(self, lit: int) -> int:
         v = self.assign[abs(lit)]
@@ -115,30 +143,46 @@ class _Cdcl:
         self.reason[var] = reason
         self.trail.append(lit)
 
+    def load(self, cnf: CnfInstance) -> None:
+        """Add the variables and clauses appended to `cnf` since the last call."""
+        extra = cnf.num_vars - self.n
+        if extra > 0:
+            self.n = cnf.num_vars
+            self.assign += [0] * extra
+            self.level += [0] * extra
+            self.reason += [None] * extra
+            self.saved += [False] * extra
+            self.activity += [0.0] * extra
+            self.seen += bytes(extra)
+            self.in_heap += bytes(extra)
+        clauses = cnf.clauses
+        while self.ok and self.loaded < len(clauses):
+            self._tick()
+            self.add_clause(clauses[self.loaded])
+            self.loaded += 1
+        self.loaded = len(clauses)
+
     def add_clause(self, lits: Sequence[int]) -> None:
+        """Add a clause at level 0, simplified against the level-0 facts."""
         seen: set[int] = set()
         clause: list[int] = []
         for lit in lits:
             if -lit in seen:
                 return  # tautology
-            if lit not in seen:
+            val = self._value(lit)
+            if val > 0:
+                return  # satisfied for good
+            if val == 0 and lit not in seen:
                 seen.add(lit)
                 clause.append(lit)
         if not clause:
             self.ok = False
-            return
-        if len(clause) == 1:
-            lit = clause[0]
-            val = self._value(lit)
-            if val < 0:
-                self.ok = False
-            elif val == 0:
-                self._enqueue(lit, None, 0)
-            return
-        self._attach(clause)
+        elif len(clause) == 1:
+            self._enqueue(clause[0], None, 0)
+        else:
+            self._attach(clause)
 
     def _attach(self, clause: list[int]) -> None:
-        self.clauses.append(clause)
         for lit in clause[:2]:
             self.watches.setdefault(-lit, []).append(clause)
 
@@ -184,15 +228,40 @@ class _Cdcl:
         return None
 
     def _bump(self, var: int) -> None:
-        self.activity[var] += self.act_inc
-        if self.activity[var] > 1e100:
-            for v in range(1, self.n + 1):
-                self.activity[v] *= 1e-100
+        activity = self.activity
+        if activity[var] == 0.0:
+            self.bumped.append(var)
+        activity[var] += self.act_inc
+        if activity[var] > 1e100:
+            for v in self.bumped:
+                activity[v] *= 1e-100
             self.act_inc *= 1e-100
+            self._rebuild_heap()
+        else:
+            heapq.heappush(self.heap, (-activity[var], var))
+            self.in_heap[var] = 1
+
+    def _rebuild_heap(self) -> None:
+        """Requeue every free variable of positive activity, dropping stale
+        entries; a variable whose activity underflowed to zero goes back to
+        the cursor's side."""
+        activity, assign, in_heap = self.activity, self.assign, self.in_heap
+        bumped = []
+        for v in self.bumped:
+            in_heap[v] = 0
+            if activity[v] > 0.0:
+                bumped.append(v)
+            elif not assign[v] and v < self.cursor:
+                self.cursor = v
+        self.bumped = bumped
+        self.heap = [(-activity[v], v) for v in bumped if not assign[v]]
+        heapq.heapify(self.heap)
+        for _, v in self.heap:
+            in_heap[v] = 1
 
     def _analyze(self, conflict: list[int], level: int) -> tuple[list[int], int]:
         learned = [0]
-        seen = [False] * (self.n + 1)
+        seen = self.seen
         counter = 0
         lit0 = 0
         reason = conflict
@@ -203,7 +272,7 @@ class _Cdcl:
                     continue  # the implied literal of its own reason clause
                 var = abs(lit)
                 if not seen[var] and self.level[var] > 0:
-                    seen[var] = True
+                    seen[var] = 1
                     self._bump(var)
                     if self.level[var] >= level:
                         counter += 1
@@ -212,13 +281,15 @@ class _Cdcl:
             while not seen[abs(self.trail[idx])]:
                 idx -= 1
             lit0 = self.trail[idx]
-            seen[abs(lit0)] = False
+            seen[abs(lit0)] = 0
             idx -= 1
             counter -= 1
             if counter == 0:
                 break
             reason = self.reason[abs(lit0)] or []
         learned[0] = -lit0
+        for lit in learned[1:]:
+            seen[abs(lit)] = 0
         back_level = 0
         if len(learned) > 1:
             max_i = 1
@@ -227,47 +298,68 @@ class _Cdcl:
                     max_i = i
             learned[1], learned[max_i] = learned[max_i], learned[1]
             back_level = self.level[abs(learned[1])]
+        # Keep the compaction cost linear in the pushes that made the garbage.
+        if len(self.heap) > 2 * len(self.bumped) + 1024:
+            self._rebuild_heap()
         return learned, back_level
 
     def _backtrack(self, back_level: int) -> None:
-        while self.trail and self.level[abs(self.trail[-1])] > back_level:
-            lit = self.trail.pop()
+        trail, level, assign = self.trail, self.level, self.assign
+        activity, in_heap = self.activity, self.in_heap
+        while trail and level[abs(trail[-1])] > back_level:
+            lit = trail.pop()
             var = abs(lit)
             self.saved[var] = lit > 0
-            self.assign[var] = 0
+            assign[var] = 0
             self.reason[var] = None
-        self.qhead = len(self.trail)
+            if activity[var] > 0.0:
+                if not in_heap[var]:
+                    heapq.heappush(self.heap, (-activity[var], var))
+                    in_heap[var] = 1
+            elif var < self.cursor:
+                self.cursor = var
+        self.qhead = min(self.qhead, len(trail))
 
     def _decide(self) -> int:
-        best = 0
-        best_act = -1.0
-        activity = self.activity
-        assign = self.assign
-        for var in range(1, self.n + 1):
-            if assign[var] == 0 and activity[var] > best_act:
-                best_act = activity[var]
-                best = var
-        return best
+        """The free variable of highest activity, lowest index first; 0 if
+        every variable is assigned."""
+        self._tick()
+        heap, activity, assign = self.heap, self.activity, self.assign
+        while heap:
+            key, var = heapq.heappop(heap)
+            if -key != activity[var]:
+                continue  # stale: the variable was bumped since
+            self.in_heap[var] = 0
+            if not assign[var]:
+                return var
+        var = self.cursor
+        while var <= self.n and (assign[var] or activity[var] > 0.0):
+            var += 1
+        self.cursor = var
+        return var if var <= self.n else 0
 
-    def solve(self) -> SolverResult:
+    def solve(self, assumptions: Sequence[int] = ()) -> SolverResult:
         start = time.monotonic()
         try:
-            return self._search()
+            return self._search(assumptions)
         except _DeadlineReached:
             return SolverResult(SolveStatus.TIMEOUT, elapsed=time.monotonic() - start)
+        finally:
+            self._backtrack(0)
 
-    def _search(self) -> SolverResult:
-        if not self.ok:
-            return SolverResult(SolveStatus.UNSAT)
-        if self._propagate(0) is not None:
-            return SolverResult(SolveStatus.UNSAT)
+    def _search(self, assumptions: Sequence[int]) -> SolverResult:
+        refuted = SolverResult(SolveStatus.UNSAT, refuted=True)
+        if not self.ok or self._propagate(0) is not None:
+            self.ok = False
+            return refuted
         level = 0
         conflicts_until_restart = 128
         while True:
             conflict = self._propagate(level)
             if conflict is not None:
                 if level == 0:
-                    return SolverResult(SolveStatus.UNSAT)
+                    self.ok = False
+                    return refuted
                 learned, back_level = self._analyze(conflict, level)
                 self._backtrack(back_level)
                 level = back_level
@@ -283,12 +375,22 @@ class _Cdcl:
                     self._backtrack(0)
                     level = 0
                 continue
-            var = self._decide()
-            if var == 0:
-                model = {v: self.assign[v] > 0 for v in range(1, self.n + 1)}
-                return SolverResult(SolveStatus.SAT, model)
-            level += 1
-            lit = var if self.saved[var] else -var
+            # Assumption i is the decision of level i + 1; one that already
+            # holds opens an empty level, one that is false ends the call.
+            lit = 0
+            while not lit and level < len(assumptions):
+                val = self._value(assumptions[level])
+                if val < 0:
+                    return SolverResult(SolveStatus.UNSAT)
+                lit = assumptions[level] if val == 0 else 0
+                level += 1
+            if not lit:
+                var = self._decide()
+                if var == 0:
+                    model = {v: self.assign[v] > 0 for v in range(1, self.n + 1)}
+                    return SolverResult(SolveStatus.SAT, model)
+                level += 1
+                lit = var if self.saved[var] else -var
             self._enqueue(lit, None, level)
 
 
@@ -296,27 +398,43 @@ class _DeadlineReached(Exception):
     pass
 
 
-def _verify_model(cnf: CnfInstance, model: dict[int, bool]) -> None:
+def _verify_model(
+    cnf: CnfInstance, model: dict[int, bool], assumptions: Sequence[int] = ()
+) -> None:
+    true_lits = {v if value else -v for v, value in model.items()}
     for clause in cnf.clauses:
-        if not any(model[abs(lit)] == (lit > 0) for lit in clause):
+        if true_lits.isdisjoint(clause):
             raise AssertionError(f"model does not satisfy clause {clause}")
+    for lit in assumptions:
+        if lit not in true_lits:
+            raise AssertionError(f"model violates assumption {lit}")
 
 
-def solve_internal(cnf: CnfInstance, deadline: float | None = None) -> SolverResult:
-    """Decide `cnf` with the built-in engine.
+def solve_internal(
+    cnf: CnfInstance,
+    deadline: float | None = None,
+    assumptions: Sequence[int] = (),
+) -> SolverResult:
+    """Decide `cnf` under `assumptions` with the built-in engine.
 
-    Fully deterministic: no randomized choices, ties broken by variable
-    index, so identical inputs give identical models and work counts.
+    The engine is kept with the instance: a later call loads only the
+    clauses appended since, and keeps what the engine learned.  Fully
+    deterministic: no randomized choices, ties broken by variable index, so
+    identical call sequences give identical models and work counts.
     """
-    engine = _Cdcl(cnf.num_vars, deadline)
-    for clause in cnf.clauses:
-        if not engine.ok:
-            break
-        engine.add_clause(clause)
-    result = engine.solve()
+    if cnf.engine is None:
+        cnf.engine = _Cdcl()
+    engine = cnf.engine
+    engine.deadline = deadline
+    start = time.monotonic()
+    try:
+        engine.load(cnf)
+    except _DeadlineReached:
+        return SolverResult(SolveStatus.TIMEOUT, elapsed=time.monotonic() - start)
+    result = engine.solve(assumptions)
     if result.status is SolveStatus.SAT:
         assert result.model is not None
-        _verify_model(cnf, result.model)
+        _verify_model(cnf, result.model, assumptions)
     return result
 
 
@@ -411,13 +529,18 @@ def _external_solver_path(cfg: BackendConfig) -> str:
     return resolved
 
 
-def solve_external(cnf: CnfInstance, cfg: BackendConfig) -> SolverResult:
+def solve_external(
+    cnf: CnfInstance, cfg: BackendConfig, assumptions: Sequence[int] = ()
+) -> SolverResult:
+    """Run the configured DIMACS solver on `cnf` plus one unit clause per
+    assumption."""
     path = _external_solver_path(cfg)
     start = time.monotonic()
+    units = [[lit] for lit in assumptions]
     with tempfile.NamedTemporaryFile(
         "w", suffix=".cnf", prefix="incmeter_", delete=False
     ) as handle:
-        handle.write(emit_dimacs(cnf))
+        handle.write(emit_dimacs(CnfInstance(cnf.num_vars, cnf.clauses + units)))
         cnf_path = handle.name
     try:
         try:
@@ -438,26 +561,34 @@ def solve_external(cnf: CnfInstance, cfg: BackendConfig) -> SolverResult:
             if proc.returncode == 10:
                 raise
             if proc.returncode == 20:
-                return SolverResult(SolveStatus.UNSAT)
-            raise
+                result = SolverResult(SolveStatus.UNSAT)
+            else:
+                raise
         if result.status is SolveStatus.SAT:
             assert result.model is not None
-            _verify_model(cnf, result.model)
+            _verify_model(cnf, result.model, assumptions)
+        result.refuted = result.status is SolveStatus.UNSAT and not units
         result.elapsed = time.monotonic() - start
         return result
     finally:
         os.unlink(cnf_path)
 
 
-def solve(cnf: CnfInstance, cfg: BackendConfig | None = None) -> SolverResult:
-    """Complete SAT decision for a CNF instance."""
+def solve(
+    cnf: CnfInstance,
+    cfg: BackendConfig | None = None,
+    assumptions: Sequence[int] = (),
+) -> SolverResult:
+    """Complete SAT decision for `cnf` with every literal of `assumptions`
+    true.  `cnf` is append-only: clauses may be added between calls, and the
+    internal backend then loads only those."""
     if cfg is None:
         cfg = BackendConfig()
     if cfg.kind == "internal":
         deadline = time.monotonic() + cfg.timeout
-        return solve_internal(cnf, deadline)
+        return solve_internal(cnf, deadline, assumptions)
     if cfg.kind == "external":
-        return solve_external(cnf, cfg)
+        return solve_external(cnf, cfg, assumptions)
     raise ValueError(f"unknown backend kind {cfg.kind!r}")
 
 
@@ -480,9 +611,12 @@ def solve_maxsat(
 ) -> tuple[int, dict[int, bool]]:
     """Minimize the number of violated soft units.
 
-    Iterative SAT: binary search on the violation budget k, each probe adding
-    a sequential at-most-k constraint over the violation indicators.  When
-    `stats` is given, the number of SAT calls is recorded under ``"calls"``.
+    Iterative SAT on one growing instance: the hard clauses, a relaxation
+    variable per positive soft unit, and a sequential counter over the
+    violation indicators.  A binary search on the violation budget k assumes
+    the counter's bound for k; a model moves the upper end down to its own
+    violation count.  When `stats` is given, the number of SAT calls is
+    recorded under ``"calls"``.
     """
     if cfg is None:
         cfg = BackendConfig()
@@ -491,7 +625,9 @@ def solve_maxsat(
     stats["calls"] = 0
     deadline = time.monotonic() + cfg.timeout
 
-    base = solve(inst.hard, cfg)
+    # The session's own clause list; the caller's instance is left as is.
+    work = CnfInstance(inst.hard.num_vars, list(inst.hard.clauses))
+    base = solve(work, cfg)
     stats["calls"] += 1
     if base.status is SolveStatus.TIMEOUT:
         raise TimeoutError("MaxSAT hard-part check timed out")
@@ -499,17 +635,16 @@ def solve_maxsat(
         raise HardClausesUnsatisfiableError("hard clauses are unsatisfiable")
     assert base.model is not None
 
-    num_vars = inst.hard.num_vars
-    clauses = [list(c) for c in inst.hard.clauses]
+    alloc = CounterAllocator(work.num_vars)
     violation_vars: list[int] = []
     for lit in inst.soft_units:
         if lit < 0:
             violation_vars.append(-lit)
         else:
-            num_vars += 1
-            relax = num_vars
-            clauses.append([lit, relax])
+            relax = alloc.fresh_aux()
+            work.clauses.append([lit, relax])
             violation_vars.append(relax)
+    counter = SequentialCounter(violation_vars, alloc)
 
     def violations(model: dict[int, bool]) -> int:
         return sum(
@@ -520,25 +655,24 @@ def solve_maxsat(
     lo, hi = 0, violations(base.model)
     while lo < hi:
         mid = (lo + hi) // 2
-        alloc = CounterAllocator(num_vars)
-        card = at_most_sequential(mid, violation_vars, alloc)
-        probe = CnfInstance(alloc.top, clauses + card)
+        clauses, bound = counter.at_most(mid)  # mid < hi <= n: bound is a literal
+        work.clauses.extend(clauses)
+        work.num_vars = alloc.top
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             raise TimeoutError("MaxSAT search timed out")
         probe_cfg = BackendConfig(
             cfg.kind, cfg.solver_path, cfg.solver_args, remaining, cfg.seed
         )
-        result = solve(probe, probe_cfg)
+        result = solve(work, probe_cfg, [bound])
         stats["calls"] += 1
         if result.status is SolveStatus.TIMEOUT:
             raise TimeoutError("MaxSAT search timed out")
         if result.status is SolveStatus.SAT:
             assert result.model is not None
-            full_model = {v: result.model.get(v, False) for v in range(1, num_vars + 1)}
-            best_model = full_model
-            hi = min(mid, violations(full_model))
+            best_model = result.model
+            hi = min(mid, violations(best_model))
         else:
             lo = mid + 1
-    model = {v: best_model.get(v, False) for v in range(1, inst.hard.num_vars + 1)}
+    model = {v: best_model[v] for v in range(1, inst.hard.num_vars + 1)}
     return lo, model

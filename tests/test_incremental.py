@@ -1,0 +1,250 @@
+"""Incremental solving: assumptions, the kept engine, growing encodings,
+and search sessions that probe one instance."""
+
+import itertools
+import random
+import time
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given
+
+from incmeter import search
+from incmeter.bench import SrsParams, generate_corpus
+from incmeter.cardinality import CounterAllocator, SequentialCounter
+from incmeter.cnf import CnfInstance
+from incmeter.encodings import encode, encode_contension_maxsat, prepare_kb
+from incmeter.kb import parse_kb
+from incmeter.oracles import MeasureUndefinedError
+from incmeter.search import RunConfig, binary_search, linear_search
+from incmeter.solver import (
+    BackendConfig,
+    MaxSatInstance,
+    SolveStatus,
+    _Cdcl,
+    solve,
+    solve_internal,
+    solve_maxsat,
+)
+from incmeter.values import MEASURES
+
+N_VARS = 8
+literals = st.integers(1, N_VARS).flatmap(lambda v: st.sampled_from([v, -v]))
+clauses = st.lists(literals, min_size=1, max_size=4)
+steps = st.lists(
+    st.tuples(
+        st.lists(clauses, max_size=6),
+        st.lists(literals, max_size=4, unique_by=abs),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(steps)
+def test_kept_engine_agrees_with_fresh_solves(calls):
+    """Clauses appended between calls and changing assumptions give the
+    verdict of a fresh solve with the assumptions as units; once refuted,
+    the engine stays refuted, and only ever for unsatisfiable clauses."""
+    cnf = CnfInstance(0, [])
+    refuted = False
+    for new_clauses, assumptions in calls:
+        cnf.clauses.extend(new_clauses)
+        used = [abs(lit) for c in cnf.clauses for lit in c] + [abs(a) for a in assumptions]
+        cnf.num_vars = max([cnf.num_vars, *used])
+        got = solve_internal(cnf, assumptions=assumptions)
+        units = [[a] for a in assumptions]
+        fresh = solve_internal(CnfInstance(cnf.num_vars, cnf.clauses + units))
+        assert got.status is fresh.status
+        if refuted:
+            assert got.status is SolveStatus.UNSAT and got.refuted
+        if got.refuted:
+            alone = solve_internal(CnfInstance(cnf.num_vars, list(cnf.clauses)))
+            assert alone.status is SolveStatus.UNSAT
+        refuted = got.refuted
+
+
+def _scan_decision(engine):
+    """The decision rule written as a scan: highest activity, lowest index."""
+    best, best_act = 0, -1.0
+    for var in range(1, engine.n + 1):
+        if engine.assign[var] == 0 and engine.activity[var] > best_act:
+            best, best_act = var, engine.activity[var]
+    return best
+
+
+ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("bump"), st.integers(1, 40)),
+        st.tuples(st.just("assign"), st.integers(-40, 40).filter(bool)),
+        st.tuples(st.just("backtrack"), st.integers(0, 6)),
+        st.tuples(st.just("decide"), st.just(0)),
+        st.tuples(st.just("inflate"), st.just(0)),
+    ),
+    max_size=120,
+)
+
+
+@given(ops)
+def test_heap_decision_equals_scan(sequence):
+    engine = _Cdcl()
+    engine.load(CnfInstance(40, []))
+    level = 0
+    for op, arg in sequence:
+        if op == "bump":
+            engine._bump(arg)
+        elif op == "assign" and engine.assign[abs(arg)] == 0:
+            level += 1
+            engine._enqueue(arg, None, level)
+        elif op == "backtrack":
+            level = min(level, arg)
+            engine._backtrack(level)
+        elif op == "inflate" and engine.act_inc < 1e50:
+            engine.act_inc *= 1e60  # the next bumps pass the rescaling limit
+        elif op == "decide":
+            want = _scan_decision(engine)
+            assert engine._decide() == want
+            if want:
+                level += 1
+                engine._enqueue(-want, None, level)
+    assert engine._decide() == _scan_decision(engine)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_growing_counter_bounds_by_assumption(n):
+    """One counter serves every bound, asked for in any order."""
+    variables = list(range(1, n + 1))
+    alloc = CounterAllocator(n)
+    counter = SequentialCounter(variables, alloc)
+    cnf = CnfInstance(n, [])
+    for k in random.Random(n).sample(range(n + 1), n + 1):
+        new_clauses, lit = counter.at_most(k)
+        cnf.clauses.extend(new_clauses)
+        cnf.num_vars = alloc.top
+        assert (lit is None) == (k >= n)
+        for bits in itertools.product([False, True], repeat=n):
+            inputs = [v if b else -v for v, b in zip(variables, bits)]
+            assumptions = inputs + ([lit] if lit is not None else [])
+            got = solve_internal(cnf, assumptions=assumptions).is_sat
+            assert got == (sum(bits) <= k), (n, k, bits)
+
+
+def test_bound_free_encoding_takes_bounds_by_assumption(k7):
+    for measure in MEASURES:
+        rng = search.search_range(measure, k7)
+        for card in ("sequential", "binomial"):
+            enc = encode(measure, k7, None, card)
+            for u in reversed(range(rng.min, rng.max + 1)):
+                assumptions = enc.assume(u)
+                want = solve(encode(measure, k7, u, card).cnf).is_sat
+                assert solve(enc.cnf, None, assumptions).is_sat == want, (measure, card, u)
+        with pytest.raises(ValueError):
+            encode(measure, k7, rng.min).assume(rng.min)
+
+
+@pytest.mark.parametrize("runner", [binary_search, linear_search])
+@pytest.mark.parametrize("measure", MEASURES)
+def test_session_probes_match_one_shot_encodings(monkeypatch, runner, measure):
+    """Every probe of a session answers as a fresh one-shot encoding would."""
+    probes = []
+    original = search._Session.probe
+
+    def recording(self, bound):
+        verdict = original(self, bound)
+        probes.append((self.kb, bound, verdict))
+        return verdict
+
+    monkeypatch.setattr(search._Session, "probe", recording)
+    kbs = generate_corpus(SrsParams(4, 1, 8, seed=811), 10)
+    kbs.append(("bottom", parse_kb("x\n- && y\n!x || z")))
+    for _kb_id, kb in kbs:
+        try:
+            runner(measure, kb)
+        except MeasureUndefinedError:
+            pass
+    assert probes
+    for pkb, bound, verdict in probes:
+        assert verdict == solve(encode(measure, pkb, bound).cnf).is_sat, (pkb, bound)
+
+
+def test_search_prepares_the_kb_once(monkeypatch, k7):
+    from incmeter import encodings
+
+    calls = []
+    original = encodings.prepare_kb
+    monkeypatch.setattr(encodings, "prepare_kb", lambda kb: calls.append(kb) or original(kb))
+    for measure in MEASURES:
+        for runner in (binary_search, linear_search):
+            calls.clear()
+            runner(measure, k7)
+            assert len(calls) == 1, (measure, runner)
+    calls.clear()
+    search.compute("contension", k7, "maxsat")
+    assert len(calls) == 1
+
+
+def test_maxsat_leaves_the_instance_alone(k7):
+    inst = encode_contension_maxsat(k7)
+    clauses = [list(c) for c in inst.hard.clauses]
+    cost, model = solve_maxsat(MaxSatInstance(inst.hard, inst.soft_units))
+    assert cost == 1
+    assert inst.hard.clauses == clauses
+    assert set(model) == set(range(1, inst.hard.num_vars + 1))
+
+
+def test_external_backend_takes_assumptions_as_units(fake_solver):
+    cfg = BackendConfig(kind="external", solver_path=fake_solver, timeout=60)
+    cnf = CnfInstance(3, [[1, 2], [-1, 3]])
+    for assumptions in ([], [1], [1, -3], [-1, -2]):
+        ext = solve(cnf, cfg, assumptions)
+        internal = solve_internal(CnfInstance(3, list(cnf.clauses)), None, assumptions)
+        assert ext.status is internal.status
+        if ext.is_sat:
+            assert all(ext.model[abs(a)] == (a > 0) for a in assumptions)
+    assert solve(CnfInstance(1, [[1], [-1]]), cfg).refuted
+
+
+def test_search_values_with_binomial_sessions():
+    cfg = RunConfig(card_method="binomial")
+    for kb_id, kb in generate_corpus(SrsParams(3, 1, 5, seed=97), 6):
+        for measure in MEASURES:
+            try:
+                want = binary_search(measure, kb).value
+            except MeasureUndefinedError:
+                continue
+            assert binary_search(measure, kb, cfg).value == want, (kb_id, measure)
+            assert linear_search(measure, kb, cfg).value == want, (kb_id, measure)
+
+
+def test_deadline_holds_while_clauses_load():
+    """A limit far below the loading time of the instance cuts the call short."""
+    rng = random.Random(5)
+    n = 30000
+    big = CnfInstance(n, [
+        [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3)] for _ in range(300000)
+    ])
+    begin = time.monotonic()
+    res = solve(big, BackendConfig(timeout=0.05))
+    elapsed = time.monotonic() - begin
+    assert res.status is SolveStatus.TIMEOUT
+    assert elapsed < 0.05 + 0.25
+
+
+def test_prepared_kb_is_not_prepared_again(k7):
+    pkb = prepare_kb(k7)
+    assert search.search_range("contension", pkb) == search.search_range("contension", k7)
+    assert encode("contension", pkb, 1).cnf.clauses == encode("contension", k7, 1).cnf.clauses
+
+
+def test_engine_resumes_propagation_cut_by_the_deadline():
+    """Level-0 literals queued when the deadline struck still propagate on
+    the next call, so their clauses are not skipped."""
+    n = 5000
+    clash = [[-(n - 1), -n]]  # falsified once the star below has propagated
+    cnf = CnfInstance(n, clash + [[-1, k] for k in range(2, n + 1)] + [[1]])
+    engine = cnf.engine = _Cdcl()
+    engine.load(cnf)
+    engine.deadline = time.monotonic() - 1.0
+    assert engine.solve().status is SolveStatus.TIMEOUT
+    res = solve_internal(cnf)
+    assert res.status is SolveStatus.UNSAT and res.refuted
