@@ -7,9 +7,9 @@ probabilities shrink by a discount factor at every recursion level so the
 process terminates.  A corpus is reproducible from its seed.
 
 ``run_matrix`` executes every (kb, measure, method) cell under a hard
-timeout, records a cell whose method cannot run on its KB with a status
-instead of aborting, and cross-checks that all methods that finished agree
-on the value;
+timeout, records a cell whose method cannot run on its KB, or whose external
+solver fails, with a status instead of aborting, and cross-checks that all
+methods that finished agree on the value;
 ``emit_reports`` writes the result, cactus, scatter, and summary CSV files.
 """
 
@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 from .kb import And, Atom, Formula, KnowledgeBase, Not, Or
 from .oracles import CapExceededError, MeasureUndefinedError
 from .search import PHASES, RunConfig, SearchOutcome, compute
-from .solver import BackendConfig
+from .solver import BackendConfig, BackendUnavailableError, SolverOutputError
 from .values import Value, format_value
 
 
@@ -135,7 +135,8 @@ class BenchRecord:
     phase_times: dict[str, float]
     solver_calls: int
     # "ok" | "timeout" | "cap" (over an oracle cap) | "undefined" (measure
-    # undefined on the KB); left empty, it is "ok" or, without a value, "timeout"
+    # undefined on the KB) | "backend-error" (an external solver could not be
+    # run or understood); left empty, it is "ok" or, without a value, "timeout"
     status: str = ""
 
     def __post_init__(self) -> None:
@@ -196,8 +197,11 @@ def run_matrix(
         begin = time.perf_counter()
         try:
             outcome = compute(measure, kb, method, cfg)
-        except (CapExceededError, MeasureUndefinedError) as exc:
-            status = "cap" if isinstance(exc, CapExceededError) else "undefined"
+        except (CapExceededError, MeasureUndefinedError,
+                BackendUnavailableError, SolverOutputError) as exc:
+            status = ("cap" if isinstance(exc, CapExceededError)
+                      else "undefined" if isinstance(exc, MeasureUndefinedError)
+                      else "backend-error")
             elapsed = time.perf_counter() - begin
             return BenchRecord(kb_id, measure, method, None, elapsed, {}, 0, status)
         return _record(kb_id, outcome, timeout_seconds)

@@ -49,7 +49,6 @@ def _build_parser() -> _Parser:
 
     def add_backend_flags(p):
         p.add_argument("--timeout", type=float, default=600.0, help="seconds per query")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--sat-solver", help="external DIMACS solver binary")
         p.add_argument("--asp-solver", help="external ASP solver binary")
         p.add_argument(
@@ -113,7 +112,6 @@ def _run_config(args) -> RunConfig:
         kind="external" if args.sat_solver else "internal",
         solver_path=args.sat_solver,
         timeout=args.timeout,
-        seed=args.seed,
     )
     return RunConfig(backend=backend, card_method=args.card, asp_solver=args.asp_solver)
 
@@ -222,9 +220,10 @@ def _cmd_bench(args) -> int:
     )
     written = bench.emit_reports(records, args.out, args.timeout)
     timeouts = sum(1 for r in records if r.timed_out)
-    not_run = sum(1 for r in records if not r.solved and not r.timed_out)
-    print(f"{len(records)} runs, {timeouts} timeouts, {not_run} over a cap or undefined; "
-          f"reports in {args.out}")
+    backend_errors = sum(1 for r in records if r.status == "backend-error")
+    not_run = sum(1 for r in records if r.status in ("cap", "undefined"))
+    print(f"{len(records)} runs, {timeouts} timeouts, {not_run} over a cap or undefined, "
+          f"{backend_errors} backend errors; reports in {args.out}")
     for name in written:
         print(f"  {name}")
     return EXIT_OK

@@ -46,10 +46,11 @@ VarName = tuple
 class VarMap:
     """Names of the base variables; auxiliary variables are bare ids."""
 
-    def __init__(self) -> None:
+    def __init__(self, top: int = 0) -> None:
+        """Ids 1..`top` are taken already, by auxiliary variables."""
         self._by_name: dict[VarName, int] = {}
         self._by_id: dict[int, VarName] = {}
-        self._top = 0
+        self._top = top
 
     def __len__(self) -> int:
         return self._top

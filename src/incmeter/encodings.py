@@ -7,7 +7,8 @@ the value is at most ``blocks - 1``).  Called without a bound, it builds only
 the rules every bound shares; a search then probes each bound through
 :meth:`SatEncoding.assume`, which appends what that bound adds (counter
 columns, blocks) and returns literals to assume, so the instance is encoded
-once per search and only ever grows.
+once per search and only ever grows.  Called with a bound, it builds the
+same and writes that bound's assumptions as unit clauses.
 
 Construction follows a fixed shape: allocate the base signature, write the
 fixed-shape rules as clauses over it, clausify the rules that embed a KB
@@ -78,25 +79,26 @@ def prepared(kb: KnowledgeBase) -> PreparedKB:
 class SatEncoding:
     """One measure's upper-bound instance of one KB, as tagged rules.
 
-    With a bound, the instance is satisfiable exactly when the measure's
-    value is at most the bound.  Without one (``bound`` is None) it holds
-    only the rules every bound shares, and :meth:`assume` adds each probed
+    It holds the rules every bound shares, and :meth:`assume` adds each
+    probed bound.  :meth:`finish` given a bound writes that bound's
+    assumptions as unit clauses and closes the encoding: the one-shot
+    instance, satisfiable exactly when the measure's value is at most the
     bound.  ``rule_spans`` records which clause range each rule produced and
     ``base_signature_size`` counts the named variables (auxiliary ones
     excluded), so structural properties can be checked against the
     per-encoding size formulas.
     """
 
-    def __init__(self, measure: str, bound: int | None) -> None:
+    def __init__(self, measure: str, cnf: CnfInstance | None = None) -> None:
         self.measure = measure
-        self.bound = bound
-        self.cnf = CnfInstance(0, [], VarMap())
+        self.cnf = cnf or CnfInstance(0, [], VarMap())
         self.base_signature_size = 0
         # (rule tag, first clause index, one past last clause index)
         self.rule_spans: list[tuple[str, int, int]] = []
         # time spent clausifying the rules that embed KB formulas
         self.cnf_transform_seconds = 0.0
-        self._assume: Callable[[int], list[int]] | None = None
+        # the rule tag a bound belongs to, and what probing a bound adds
+        self._bound_rule: tuple[str, Callable[[int], list[int]]] | None = None
 
     @property
     def varmap(self) -> VarMap:
@@ -107,9 +109,9 @@ class SatEncoding:
         return the literals to assume: under them the instance is
         satisfiable exactly when the value is at most `bound`.  Clauses are
         only ever appended, so one solver engine serves every probe."""
-        if self._assume is None:
-            raise ValueError("only an encoding built without a bound takes assumptions")
-        lits = self._assume(bound)
+        if self._bound_rule is None:
+            raise ValueError("a one-shot encoding takes no further bounds")
+        lits = self._bound_rule[1](bound)
         self.cnf.num_vars = len(self.varmap)
         return lits
 
@@ -127,18 +129,14 @@ class SatEncoding:
         self._record(tag, start)
 
     def at_most(self, tag: str, groups: list[list[int]], method: str) -> None:
-        """At most the bound of each group's variables are true: clauses now
-        for a fixed bound, a counter per group grown by :meth:`assume`
-        without one."""
-        if self.bound is not None:
-            for variables in groups:
-                self.add_clauses(
-                    tag, cardinality.at_most(self.bound, variables, self.varmap, method)
-                )
-        elif method == "sequential":
+        """At most the bound of each group's literals are true, a bound per
+        :meth:`assume`: at most 0 makes every input false; above 0, a
+        sequential counter per group grows to the bound, or (binomial) the
+        bound's clauses go behind a fresh switch literal."""
+        if method == "sequential":
             counters = [cardinality.SequentialCounter(g, self.varmap) for g in groups]
 
-            def assume(u: int) -> list[int]:
+            def grow(u: int) -> list[int]:
                 lits = []
                 for counter in counters:
                     clauses, lit = counter.at_most(u)
@@ -147,10 +145,9 @@ class SatEncoding:
                         lits.append(lit)
                 return lits
 
-            self._assume = assume
         elif method == "binomial":
 
-            def assume(u: int) -> list[int]:  # each bound behind its own switch
+            def grow(u: int) -> list[int]:
                 switch = self.varmap.fresh_aux()
                 self.add_clauses(tag, [
                     [-switch, *clause]
@@ -159,9 +156,15 @@ class SatEncoding:
                 ])
                 return [switch]
 
-            self._assume = assume
         else:
             raise ValueError(f"unknown cardinality method {method!r}")
+
+        def assume(u: int) -> list[int]:
+            if u == 0:
+                return [-lit for g in groups for lit in g]
+            return grow(u)
+
+        self._bound_rule = (tag, assume)
 
     def _record(self, tag: str, start: int) -> None:
         end = len(self.cnf.clauses)
@@ -171,9 +174,15 @@ class SatEncoding:
         elif end > start:
             spans.append((tag, start, end))
 
-    def finish(self, base_size: int) -> SatEncoding:
+    def finish(self, base_size: int, bound: int | None = None) -> SatEncoding:
+        """Check the base signature against its size formula; with a bound,
+        make this the one-shot instance of that bound."""
         assert self.varmap.base_count() == base_size, "base signature drifted"
-        self.base_signature_size = base_size
+        if bound is not None:
+            tag = self._bound_rule[0]
+            self.add_clauses(tag, [[lit] for lit in self.assume(bound)])
+            self._bound_rule = None
+        self.base_signature_size = self.varmap.base_count()
         self.cnf.num_vars = len(self.varmap)
         return self
 
@@ -216,7 +225,7 @@ def encode_contension(
     pkb = prepared(kb)
     atoms = pkb.signature()
     sites = pkb.subformula_sites()
-    b = SatEncoding("contension", u)
+    b = SatEncoding("contension")
     for x in atoms:  # SC1
         for v in THREE_VALUES:
             b.varmap.var((TAG_TRI, x, v))
@@ -264,7 +273,7 @@ def encode_contension(
         b.add_clauses("SC16", [[val(root, "t"), val(root, "b")]])
     b_vars = [tri(x, "b") for x in atoms]
     b.at_most("SC17", [b_vars], card_method)
-    return b.finish(base_size)
+    return b.finish(base_size, u)
 
 
 def encode_contension_maxsat(
@@ -289,7 +298,7 @@ def encode_forgetting(
 ) -> SatEncoding:
     pkb = prepared(kb)
     occurrences = pkb.occurrences()
-    b = SatEncoding("forgetting", u)
+    b = SatEncoding("forgetting")
     for occ in occurrences:  # SF1-SF2
         b.varmap.var((TAG_OCC, occ.atom, occ.label))
         b.varmap.var((TAG_FORGET_TOP, occ.atom, occ.label))
@@ -325,7 +334,7 @@ def encode_forgetting(
         var(tag, occ) for occ in occurrences for tag in (TAG_FORGET_TOP, TAG_FORGET_BOT)
     ]
     b.at_most("SF5", [forget_vars], card_method)
-    return b.finish(base_size)
+    return b.finish(base_size, u)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +356,7 @@ def encode_hs(
         raise ValueError(f"block count {blocks} outside 1..{len(kb)}")
     pkb = prepared(kb)
     atoms = pkb.signature()
-    b = SatEncoding("hitting-set", blocks)
+    b = SatEncoding("hitting-set")
 
     def block(idx: int, i: int) -> int:
         return b.varmap.id_of((TAG_BLOCK, idx, i))
@@ -361,16 +370,6 @@ def encode_hs(
             copy = substitute_atoms(formula, lambda x: Lit(b.varmap.id_of((TAG_COPY, x, i))))
             b.assert_formula("SH3", Implies(Lit(block(idx, i)), copy))
 
-    def cover(count: int, switch: list[int]) -> None:  # SH4
-        b.add_clauses("SH4", [
-            [block(idx, i) for i in range(1, count + 1)] + switch for idx in range(len(pkb))
-        ])
-
-    if blocks is not None:
-        for i in range(1, blocks + 1):
-            add_block(i)
-        cover(blocks, [])
-        return b.finish(blocks * (len(atoms) + len(pkb)))
     built = 0
 
     def assume(u: int) -> list[int]:
@@ -379,11 +378,13 @@ def encode_hs(
             built += 1
             add_block(built)
         switch = b.varmap.fresh_aux()
-        cover(u + 1, [-switch])
+        b.add_clauses("SH4", [  # every formula in one of the u + 1 blocks
+            [block(idx, i) for i in range(1, u + 2)] + [-switch] for idx in range(len(pkb))
+        ])
         return [switch]
 
-    b._assume = assume
-    return b.finish(0)
+    b._bound_rule = ("SH4", assume)
+    return b.finish(0, None if blocks is None else blocks - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +398,7 @@ def _encode_distance_common(
     pkb = prepared(kb)
     atoms = pkb.signature()
     n = len(pkb)
-    b = SatEncoding("max-distance" if per_formula_bound else "sum-distance", u)
+    b = SatEncoding("max-distance" if per_formula_bound else "sum-distance")
     for x in atoms:  # SDM1/SDS1
         b.varmap.var((TAG_OPT, x))
     for x in atoms:  # SDM2-SDM3 / SDS2-SDS3
@@ -423,7 +424,7 @@ def _encode_distance_common(
         b.at_most("SDS7", [
             [b.varmap.id_of((TAG_INV, x, i)) for x in atoms for i in range(1, n + 1)]
         ], card_method)
-    return b.finish(base_size)
+    return b.finish(base_size, u)
 
 
 def encode_dmax(
@@ -447,7 +448,7 @@ def encode_dhit(
 ) -> SatEncoding:
     pkb = prepared(kb)
     atoms = pkb.signature()
-    b = SatEncoding("hit-distance", u)
+    b = SatEncoding("hit-distance")
     for idx in range(len(pkb)):  # SDH1
         b.varmap.var((TAG_HIT, idx))
     for x in atoms:  # SDH2
@@ -458,7 +459,7 @@ def encode_dhit(
         b.assert_formula("SDH3", Or(formula, Lit(b.varmap.id_of((TAG_HIT, idx)))))
     hit_vars = [b.varmap.id_of((TAG_HIT, idx)) for idx in range(len(pkb))]
     b.at_most("SDH4", [hit_vars], card_method)
-    return b.finish(base_size)
+    return b.finish(base_size, u)
 
 
 # ---------------------------------------------------------------------------

@@ -104,10 +104,6 @@ def is_three_valued_model(kb: KnowledgeBase, w3: Mapping[str, str]) -> bool:
     return all(eval3(f, w3) != FALSE3 for f in kb)
 
 
-def conflictbase(w3: Mapping[str, str]) -> set[str]:
-    return {atom for atom, value in w3.items() if value == BOTH3}
-
-
 def contension_oracle(kb: KnowledgeBase) -> Value:
     """Minimal number of atoms assigned b over all three-valued models."""
     reduced = reduce_kb(kb)

@@ -12,6 +12,8 @@ Each search runs one :class:`_Session`: the KB is prepared once, the rules
 every bound shares are encoded once, and each probe appends only what its
 bound adds and is one SAT call under assumptions on the same instance, so
 the internal engine keeps what it learned from one probe to the next.
+MaxSAT (:func:`solve_maxsat`) runs on a session too, over the hard clauses
+and a counter of the violated soft units, with its own bisection.
 
 ``compute`` dispatches a (measure, method) pair to the right pipeline and
 reports phase timings split into encoding generation, CNF transformation,
@@ -22,9 +24,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from . import asp as asp_mod
 from . import encodings
+from .cnf import CnfInstance, VarMap
 from .kb import KnowledgeBase
 from .oracles import MeasureUndefinedError, naive_measure
 from .solver import (
@@ -33,7 +37,6 @@ from .solver import (
     MaxSatInstance,
     SolveStatus,
     solve,
-    solve_maxsat,
 )
 from .values import INF, MEASURES, Value
 
@@ -117,45 +120,58 @@ class _PhaseClock:
 
 
 class _Session:
-    """One search's SAT session over a KB prepared once.
+    """One SAT session: an encoding built on the first probe and grown by each.
 
-    The bound-free encoding is built on the first probe; each probe then
-    appends what its bound adds and decides the grown instance under that
-    bound's assumptions.  Once a call finds the clauses themselves
+    ``build`` makes the bound-free encoding; each probe then appends what its
+    bound adds and decides the grown instance under that bound's
+    assumptions, or under none for an unbounded probe.  ``model`` is the last
+    probe's model, if it had one.  Once a call finds the clauses themselves
     unsatisfiable, later probes add nothing and ask the same instance again.
     """
 
-    def __init__(self, measure: str, kb: KnowledgeBase, cfg: RunConfig,
-                 clock: _PhaseClock, deadline: float):
-        self.measure, self.cfg, self.clock, self.deadline = measure, cfg, clock, deadline
-        self.kb = encodings.prepare_kb(kb)
-        self.range = search_range(measure, self.kb)
+    def __init__(self, build: Callable[[], encodings.SatEncoding], backend: BackendConfig,
+                 clock: _PhaseClock, deadline: float, kb: KnowledgeBase | None = None):
+        self.build, self.backend, self.clock, self.deadline = build, backend, clock, deadline
+        self.kb = kb  # the prepared KB encoded, if there is one
         self.enc: encodings.SatEncoding | None = None
         self.refuted = False
+        self.model: dict[int, bool] | None = None
 
-    def probe(self, bound: int) -> bool | None:
+    def probe(self, bound: int | None) -> bool | None:
         """One upper-bound query; None signals a timeout, before or in the solver."""
         clock = self.clock
         begin = time.perf_counter()
         tseitin_before = self.enc.cnf_transform_seconds if self.enc else 0.0
         if self.enc is None:
-            self.enc = encodings.encode(self.measure, self.kb, None, self.cfg.card_method)
+            self.enc = self.build()
         enc = self.enc
-        assumptions = [] if self.refuted else enc.assume(bound)
+        assumptions = [] if self.refuted or bound is None else enc.assume(bound)
         tseitin = enc.cnf_transform_seconds - tseitin_before
         clock.acc["cnfTransform"] += tseitin
         clock.acc["encoding"] += time.perf_counter() - begin - tseitin
         remaining = self.deadline - time.monotonic()
         if remaining <= 0:
             return None
+        self.model = None  # not held while the next call runs
         begin = time.perf_counter()
-        result = solve(enc.cnf, replace(self.cfg.backend, timeout=remaining), assumptions)
+        result = solve(enc.cnf, replace(self.backend, timeout=remaining), assumptions)
         clock.acc["solving"] += time.perf_counter() - begin
         clock.calls += 1
         if result.status is SolveStatus.TIMEOUT:
             return None
         self.refuted = result.refuted
+        self.model = result.model
         return result.status is SolveStatus.SAT
+
+
+def _search_session(measure: str, kb: KnowledgeBase, cfg: RunConfig,
+                    clock: _PhaseClock) -> tuple[_Session, SearchRange]:
+    """The session of one binary or linear search, on the KB prepared once."""
+    deadline = time.monotonic() + cfg.timeout
+    pkb = encodings.prepare_kb(kb)
+    session = _Session(lambda: encodings.encode(measure, pkb, None, cfg.card_method),
+                       cfg.backend, clock, deadline, pkb)
+    return session, search_range(measure, pkb)
 
 
 def _exhausted(measure: str, rng: SearchRange) -> Value:
@@ -171,11 +187,9 @@ def binary_search(measure: str, kb: KnowledgeBase, cfg: RunConfig | None = None)
     """Published binary-search scheme over the measure's value range."""
     cfg = cfg or RunConfig()
     clock = _PhaseClock()
-    deadline = time.monotonic() + cfg.timeout
     if len(kb) == 0:
         return clock.outcome(measure, "sat-binary", 0, 0)
-    session = _Session(measure, kb, cfg, clock, deadline)
-    rng = session.range
+    session, rng = _search_session(measure, kb, cfg, clock)
     lo, hi = rng.min, rng.max
     inc_val = -1
     while lo <= hi:
@@ -197,11 +211,9 @@ def linear_search(measure: str, kb: KnowledgeBase, cfg: RunConfig | None = None)
     """Probe u = 0, 1, 2, ...; the first satisfiable bound is the value."""
     cfg = cfg or RunConfig()
     clock = _PhaseClock()
-    deadline = time.monotonic() + cfg.timeout
     if len(kb) == 0:
         return clock.outcome(measure, "sat-linear", 0, 0)
-    session = _Session(measure, kb, cfg, clock, deadline)
-    rng = session.range
+    session, rng = _search_session(measure, kb, cfg, clock)
     for u in range(rng.min, rng.max + 1):
         verdict = session.probe(u)
         if verdict is None:
@@ -209,6 +221,57 @@ def linear_search(measure: str, kb: KnowledgeBase, cfg: RunConfig | None = None)
         if verdict:
             return clock.outcome(measure, "sat-linear", u, clock.calls)
     return clock.outcome(measure, "sat-linear", _exhausted(measure, rng), clock.calls)
+
+
+def solve_maxsat(
+    inst: MaxSatInstance,
+    cfg: BackendConfig | None = None,
+    stats: dict[str, int] | None = None,
+) -> tuple[int, dict[int, bool]]:
+    """Minimize the number of violated soft units.
+
+    One session over a copy of the hard clauses (the caller's instance is
+    left as is) and a sequential counter over the violation literals: an
+    unbounded call, then a bisection on the violation budget in which a
+    model moves the upper end down to its own violation count.  When `stats`
+    is given, the number of SAT calls is recorded under ``"calls"``.
+    """
+    cfg = cfg or BackendConfig()
+    stats = {} if stats is None else stats
+    clock = _PhaseClock()
+
+    def build() -> encodings.SatEncoding:
+        hard = inst.hard
+        enc = encodings.SatEncoding(
+            "maxsat", CnfInstance(hard.num_vars, list(hard.clauses), VarMap(hard.num_vars))
+        )
+        enc.at_most("soft", [[-lit for lit in inst.soft_units]], "sequential")
+        return enc
+
+    def cost(model: dict[int, bool]) -> int:
+        return sum(model[abs(lit)] != (lit > 0) for lit in inst.soft_units)
+
+    session = _Session(build, cfg, clock, time.monotonic() + cfg.timeout)
+
+    def probe(bound: int | None) -> bool:
+        verdict = session.probe(bound)
+        stats["calls"] = clock.calls
+        if verdict is None:
+            raise TimeoutError("MaxSAT search timed out")
+        return verdict
+
+    if not probe(None):
+        raise HardClausesUnsatisfiableError("hard clauses are unsatisfiable")
+    best = session.model
+    lo, hi = 0, cost(best)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if probe(mid):
+            best = session.model
+            hi = min(mid, cost(best))
+        else:
+            lo = mid + 1
+    return lo, {v: best[v] for v in range(1, inst.hard.num_vars + 1)}
 
 
 def _compute_maxsat(measure: str, kb: KnowledgeBase, cfg: RunConfig) -> SearchOutcome:

@@ -1,16 +1,12 @@
-"""Satisfiability backends.
-
-Three entry points:
+"""Satisfiability backends and the text formats spoken with external tools.
 
 * :func:`solve` — complete SAT decision under assumptions with model
   extraction, either via the built-in CDCL engine, which stays with an
   append-only instance between calls, or an external DIMACS solver run as a
   subprocess, which gets the assumptions as unit clauses.
-* :func:`solve_maxsat` — unweighted MaxSAT over unit soft clauses, by binary
-  search on the number of violated softs, each bound assumed through one
-  growing sequential counter.
 * :func:`emit_dimacs` / :func:`emit_wcnf` / :func:`parse_solver_output` —
-  the text formats spoken with external tools.
+  the text formats, WCNF for a :class:`MaxSatInstance`, whose search is
+  ``search.solve_maxsat``.
 
 Returned models are always verified against the clause set and the
 assumptions before being surfaced.
@@ -28,7 +24,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .cardinality import CounterAllocator, SequentialCounter
 from .cnf import CnfInstance
 
 
@@ -57,7 +52,6 @@ class BackendConfig:
     solver_path: str | None = None
     solver_args: tuple[str, ...] = ()
     timeout: float = 600.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.timeout <= 0:
@@ -475,6 +469,14 @@ def parse_dimacs(text: str) -> CnfInstance:
     return CnfInstance(num_vars, clauses)
 
 
+@dataclass
+class MaxSatInstance:
+    """Hard clauses plus unit soft literals, each of weight 1."""
+
+    hard: CnfInstance
+    soft_units: list[int]
+
+
 def emit_wcnf(hard: CnfInstance, soft_units: Sequence[int]) -> str:
     """Weighted DIMACS with unit soft clauses of weight 1."""
     top = len(soft_units) + 1
@@ -590,89 +592,3 @@ def solve(
     if cfg.kind == "external":
         return solve_external(cnf, cfg, assumptions)
     raise ValueError(f"unknown backend kind {cfg.kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# MaxSAT
-
-
-@dataclass
-class MaxSatInstance:
-    """Hard clauses plus unit soft literals, each of weight 1."""
-
-    hard: CnfInstance
-    soft_units: list[int]
-
-
-def solve_maxsat(
-    inst: MaxSatInstance,
-    cfg: BackendConfig | None = None,
-    stats: dict[str, int] | None = None,
-) -> tuple[int, dict[int, bool]]:
-    """Minimize the number of violated soft units.
-
-    Iterative SAT on one growing instance: the hard clauses, a relaxation
-    variable per positive soft unit, and a sequential counter over the
-    violation indicators.  A binary search on the violation budget k assumes
-    the counter's bound for k; a model moves the upper end down to its own
-    violation count.  When `stats` is given, the number of SAT calls is
-    recorded under ``"calls"``.
-    """
-    if cfg is None:
-        cfg = BackendConfig()
-    if stats is None:
-        stats = {}
-    stats["calls"] = 0
-    deadline = time.monotonic() + cfg.timeout
-
-    # The session's own clause list; the caller's instance is left as is.
-    work = CnfInstance(inst.hard.num_vars, list(inst.hard.clauses))
-    base = solve(work, cfg)
-    stats["calls"] += 1
-    if base.status is SolveStatus.TIMEOUT:
-        raise TimeoutError("MaxSAT hard-part check timed out")
-    if base.status is SolveStatus.UNSAT:
-        raise HardClausesUnsatisfiableError("hard clauses are unsatisfiable")
-    assert base.model is not None
-
-    alloc = CounterAllocator(work.num_vars)
-    violation_vars: list[int] = []
-    for lit in inst.soft_units:
-        if lit < 0:
-            violation_vars.append(-lit)
-        else:
-            relax = alloc.fresh_aux()
-            work.clauses.append([lit, relax])
-            violation_vars.append(relax)
-    counter = SequentialCounter(violation_vars, alloc)
-
-    def violations(model: dict[int, bool]) -> int:
-        return sum(
-            1 for lit in inst.soft_units if model[abs(lit)] != (lit > 0)
-        )
-
-    best_model = base.model
-    lo, hi = 0, violations(base.model)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        clauses, bound = counter.at_most(mid)  # mid < hi <= n: bound is a literal
-        work.clauses.extend(clauses)
-        work.num_vars = alloc.top
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise TimeoutError("MaxSAT search timed out")
-        probe_cfg = BackendConfig(
-            cfg.kind, cfg.solver_path, cfg.solver_args, remaining, cfg.seed
-        )
-        result = solve(work, probe_cfg, [bound])
-        stats["calls"] += 1
-        if result.status is SolveStatus.TIMEOUT:
-            raise TimeoutError("MaxSAT search timed out")
-        if result.status is SolveStatus.SAT:
-            assert result.model is not None
-            best_model = result.model
-            hi = min(mid, violations(best_model))
-        else:
-            lo = mid + 1
-    model = {v: best_model[v] for v in range(1, inst.hard.num_vars + 1)}
-    return lo, model

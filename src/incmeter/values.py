@@ -19,13 +19,5 @@ MEASURES = (
 INFINITY_MEASURES = frozenset({"hitting-set", "max-distance", "sum-distance"})
 
 
-def is_finite(value: Value) -> bool:
-    return value != INF
-
-
 def format_value(value: Value) -> str:
     return "inf" if value == INF else str(int(value))
-
-
-def parse_value(text: str) -> Value:
-    return INF if text == "inf" else int(text)

@@ -18,6 +18,8 @@ from incmeter.bench import (
     write_corpus,
 )
 from incmeter.kb import Atom, KnowledgeBase, parse_kb
+from incmeter.search import RunConfig
+from incmeter.solver import BackendConfig
 from incmeter.values import MEASURES
 
 
@@ -159,6 +161,21 @@ def test_agreement_ignores_cells_that_did_not_run():
     ]
     _check_agreement(records)  # no exception
     assert not records[1].timed_out and not records[1].solved
+
+
+def test_run_matrix_records_backend_errors(k4, tmp_path):
+    garbled = tmp_path / "garbledsat"
+    garbled.write_text("#!/bin/sh\necho hello\n")
+    garbled.chmod(0o755)
+    records = run_matrix(
+        [("k4", k4)], ["contension"], ["sat-binary", "asp"], 60,
+        cfg=RunConfig(asp_solver=str(tmp_path / "no-such-clingo")),
+    )
+    assert {r.method: r.status for r in records} == {"sat-binary": "ok", "asp": "backend-error"}
+    external = RunConfig(backend=BackendConfig(kind="external", solver_path=str(garbled)))
+    records = run_matrix([("k4", k4)], ["contension"], ["sat-linear", "naive"], 60, cfg=external)
+    assert {r.method: r.status for r in records} == {"sat-linear": "backend-error", "naive": "ok"}
+    assert not records[0].solved and not records[0].timed_out
 
 
 def _read(path):

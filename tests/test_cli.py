@@ -53,7 +53,7 @@ def test_measure_hs_naive_k6_prints_inf(kb_file, capsys):
 def test_measure_deterministic_stdout_modulo_times(kb_file, capsys):
     path = kb_file("k7.kb", "x&&y\nx||y\n!x\n")
     argv = ["measure", "--measure", "sum-distance", "--method", "sat",
-            "--search", "linear", "--seed", "5", path]
+            "--search", "linear", path]
 
     def normalized():
         code, out, _ = run_cli(capsys, *argv)
@@ -159,6 +159,19 @@ def test_backend_failure_exit_code(kb_file, capsys, monkeypatch):
     )
     assert code == 2
     assert "backend" in err
+
+
+def test_bench_records_a_missing_asp_solver(kb_file, tmp_path, capsys):
+    path = kb_file("k4.kb", "x&&y\n!y\n")
+    reports = tmp_path / "reports"
+    code, out, _ = run_cli(
+        capsys, "bench", path, "--measures", "contension", "--methods", "sat-binary,asp",
+        "--asp-solver", str(tmp_path / "no-such-clingo"), "--out", str(reports),
+    )
+    assert code == 0
+    assert "1 backend errors" in out
+    rows = (reports / "results.csv").read_text().splitlines()
+    assert any(row.startswith("k4,contension,asp,backend-error,") for row in rows)
 
 
 def test_timeout_exit_code(kb_file, capsys):

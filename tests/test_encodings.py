@@ -231,7 +231,8 @@ def test_base_sizes_match_caption_formulas_on_random_kbs(measure):
 
 
 def test_maxsat_cost_equals_search_value_on_random_kbs():
-    from incmeter.solver import MaxSatInstance, solve_maxsat
+    from incmeter.search import solve_maxsat
+    from incmeter.solver import MaxSatInstance
 
     for kb_id, kb in _conformance_suite()[:15]:
         inst = encode_contension_maxsat(kb)

@@ -24,8 +24,8 @@ from incmeter.solver import (
     _Cdcl,
     solve,
     solve_internal,
-    solve_maxsat,
 )
+from incmeter.search import solve_maxsat
 from incmeter.values import MEASURES
 
 N_VARS = 8
@@ -248,3 +248,19 @@ def test_engine_resumes_propagation_cut_by_the_deadline():
     assert engine.solve().status is SolveStatus.TIMEOUT
     res = solve_internal(cnf)
     assert res.status is SolveStatus.UNSAT and res.refuted
+
+
+@pytest.mark.parametrize("card", ["sequential", "binomial"])
+@pytest.mark.parametrize("measure", MEASURES)
+def test_one_shot_encoding_is_the_session_plus_units(k7, measure, card):
+    """encode(m, kb, u) is encode(m, kb) grown by assume(u), plus one unit
+    clause per literal assumed."""
+    kbs = [k7] + [kb for _, kb in generate_corpus(SrsParams(3, 1, 5, seed=97), 6)]
+    for kb in kbs:
+        rng = search.search_range(measure, kb)
+        for u in range(rng.min, rng.max + 1):
+            session = encode(measure, kb, None, card)
+            lits = session.assume(u)
+            one_shot = encode(measure, kb, u, card)
+            assert one_shot.cnf.clauses == session.cnf.clauses + [[lit] for lit in lits], u
+            assert one_shot.cnf.num_vars == session.cnf.num_vars, u

@@ -177,3 +177,21 @@ def test_timed_out_sat_call_is_counted(k7, sleepy_solver, method):
     out = compute("hit-distance", k7, method, RunConfig(backend=backend))
     assert out.status == "timeout"
     assert out.solver_calls == 1
+
+
+def test_timed_out_maxsat_call_is_counted(k7, sleepy_solver):
+    backend = BackendConfig(kind="external", solver_path=sleepy_solver, timeout=0.5)
+    out = compute("contension", k7, "maxsat", RunConfig(backend=backend))
+    assert out.status == "timeout"
+    assert out.solver_calls == 1
+
+
+def test_maxsat_values_and_calls_are_pinned():
+    """(value, SAT calls) of the MaxSAT search per KB of the sat-mix
+    benchmark corpus, as its bisection with model-guided upper ends makes
+    them (srs0009 needs the model's cost to end after 3 calls)."""
+    want = [(3, 4), (2, 4), (2, 4), (0, 4), (3, 4), (1, 4), (1, 4), (2, 3), (4, 4), (4, 3),
+            (2, 4), (3, 4), (2, 4), (1, 4), (2, 4), (2, 4), (1, 4), (3, 4), (2, 4), (0, 4)]
+    kbs = generate_corpus(SrsParams(6, 8, 14, seed=7), 20)
+    got = [compute("contension", kb, "maxsat") for _, kb in kbs]
+    assert [(out.value, out.solver_calls) for out in got] == want

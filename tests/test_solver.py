@@ -21,8 +21,8 @@ from incmeter.solver import (
     parse_solver_output,
     solve,
     solve_internal,
-    solve_maxsat,
 )
+from incmeter.search import solve_maxsat
 
 
 def test_unit_conflict_unsat():
