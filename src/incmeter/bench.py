@@ -138,6 +138,7 @@ class BenchRecord:
     # undefined on the KB) | "backend-error" (an external solver could not be
     # run or understood); left empty, it is "ok" or, without a value, "timeout"
     status: str = ""
+    bounds: tuple[int, int] | None = None  # remaining search range on timeout
 
     def __post_init__(self) -> None:
         if not self.status:
@@ -170,6 +171,7 @@ def _record(kb_id: str, outcome: SearchOutcome, timeout: float) -> BenchRecord:
         dict(outcome.phase_times),
         outcome.solver_calls,
         "timeout" if timed_out else "ok",
+        outcome.bounds if timed_out else None,
     )
 
 
@@ -258,7 +260,8 @@ def emit_reports(
     _write_csv(
         results,
         ["kb_id", "measure", "method", "status", "value", "total_seconds", "solver_calls"]
-        + [f"{phase}_seconds" for phase in PHASES],
+        + [f"{phase}_seconds" for phase in PHASES]
+        + ["bounds_lo", "bounds_hi"],
         [
             [
                 rec.kb_id,
@@ -270,6 +273,7 @@ def emit_reports(
                 rec.solver_calls,
             ]
             + [f"{rec.phase_times.get(phase, 0.0):.6f}" for phase in PHASES]
+            + list(rec.bounds or ("", ""))
             for rec in records
         ],
     )

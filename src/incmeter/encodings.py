@@ -52,6 +52,7 @@ from .kb import (
     Not,
     Or,
     Top,
+    atoms_of,
     fold_constants,
     reduce_connectives,
     replace_at,
@@ -97,8 +98,10 @@ class SatEncoding:
         self.rule_spans: list[tuple[str, int, int]] = []
         # time spent clausifying the rules that embed KB formulas
         self.cnf_transform_seconds = 0.0
-        # the rule tag a bound belongs to, and what probing a bound adds
-        self._bound_rule: tuple[str, Callable[[int], list[int]]] | None = None
+        # the rule tag a bound belongs to, and what probing a bound adds; the
+        # rule is handed the encoding, so it holds no reference back to it
+        # and a finished encoding is freed without the cyclic collector
+        self._bound_rule: tuple[str, Callable[[SatEncoding, int], list[int]]] | None = None
 
     @property
     def varmap(self) -> VarMap:
@@ -111,7 +114,7 @@ class SatEncoding:
         only ever appended, so one solver engine serves every probe."""
         if self._bound_rule is None:
             raise ValueError("a one-shot encoding takes no further bounds")
-        lits = self._bound_rule[1](bound)
+        lits = self._bound_rule[1](self, bound)
         self.cnf.num_vars = len(self.varmap)
         return lits
 
@@ -132,37 +135,39 @@ class SatEncoding:
         """At most the bound of each group's literals are true, a bound per
         :meth:`assume`: at most 0 makes every input false; above 0, a
         sequential counter per group grows to the bound, or (binomial) the
-        bound's clauses go behind a fresh switch literal."""
+        bound's clauses go behind a fresh switch literal.  A bound that no
+        group exceeds in size adds nothing and assumes nothing."""
         if method == "sequential":
             counters = [cardinality.SequentialCounter(g, self.varmap) for g in groups]
 
-            def grow(u: int) -> list[int]:
+            def grow(enc: SatEncoding, u: int) -> list[int]:
                 lits = []
                 for counter in counters:
                     clauses, lit = counter.at_most(u)
-                    self.add_clauses(tag, clauses)
+                    enc.add_clauses(tag, clauses)
                     if lit is not None:
                         lits.append(lit)
                 return lits
 
         elif method == "binomial":
 
-            def grow(u: int) -> list[int]:
-                switch = self.varmap.fresh_aux()
-                self.add_clauses(tag, [
-                    [-switch, *clause]
-                    for variables in groups
-                    for clause in cardinality.at_most_binomial(u, variables)
-                ])
+            def grow(enc: SatEncoding, u: int) -> list[int]:
+                clauses = [
+                    clause for g in groups for clause in cardinality.at_most_binomial(u, g)
+                ]
+                if not clauses:
+                    return []
+                switch = enc.varmap.fresh_aux()
+                enc.add_clauses(tag, [[-switch, *clause] for clause in clauses])
                 return [switch]
 
         else:
             raise ValueError(f"unknown cardinality method {method!r}")
 
-        def assume(u: int) -> list[int]:
+        def assume(enc: SatEncoding, u: int) -> list[int]:
             if u == 0:
                 return [-lit for g in groups for lit in g]
-            return grow(u)
+            return grow(enc, u)
 
         self._bound_rule = (tag, assume)
 
@@ -358,28 +363,28 @@ def encode_hs(
     atoms = pkb.signature()
     b = SatEncoding("hitting-set")
 
-    def block(idx: int, i: int) -> int:
-        return b.varmap.id_of((TAG_BLOCK, idx, i))
-
-    def add_block(i: int) -> None:
+    def add_block(enc: SatEncoding, i: int) -> None:
+        vm = enc.varmap
         for x in atoms:  # SH1
-            b.varmap.var((TAG_COPY, x, i))
+            vm.var((TAG_COPY, x, i))
         for idx in range(len(pkb)):  # SH2
-            b.varmap.var((TAG_BLOCK, idx, i))
+            vm.var((TAG_BLOCK, idx, i))
         for idx, formula in enumerate(pkb):  # SH3
-            copy = substitute_atoms(formula, lambda x: Lit(b.varmap.id_of((TAG_COPY, x, i))))
-            b.assert_formula("SH3", Implies(Lit(block(idx, i)), copy))
+            copy = substitute_atoms(formula, lambda x: Lit(vm.id_of((TAG_COPY, x, i))))
+            enc.assert_formula("SH3", Implies(Lit(vm.id_of((TAG_BLOCK, idx, i))), copy))
 
     built = 0
 
-    def assume(u: int) -> list[int]:
+    def assume(enc: SatEncoding, u: int) -> list[int]:
         nonlocal built
         while built <= u:
             built += 1
-            add_block(built)
-        switch = b.varmap.fresh_aux()
-        b.add_clauses("SH4", [  # every formula in one of the u + 1 blocks
-            [block(idx, i) for i in range(1, u + 2)] + [-switch] for idx in range(len(pkb))
+            add_block(enc, built)
+        vm = enc.varmap
+        switch = vm.fresh_aux()
+        enc.add_clauses("SH4", [  # every formula in one of the u + 1 blocks
+            [vm.id_of((TAG_BLOCK, idx, i)) for i in range(1, u + 2)] + [-switch]
+            for idx in range(len(pkb))
         ])
         return [switch]
 
@@ -417,13 +422,17 @@ def _encode_distance_common(
             inv = b.varmap.id_of((TAG_INV, x, i))
             b.add_clauses(f"{tags}5", [[-xi, xo, inv]])
             b.add_clauses(f"{tags}6", [[xi, -xo, inv]])
+    # SDM7/SDS7 count inv(x, i) only for the atoms x that the i-th formula
+    # mentions: a copy of any other atom can take xo's value without changing
+    # the formula's truth, so its inv never needs to be true.
+    groups = [
+        [b.varmap.id_of((TAG_INV, x, idx + 1)) for x in sorted(atoms_of(formula))]
+        for idx, formula in enumerate(pkb)
+    ]
     if per_formula_bound:  # SDM7: one bound per formula index
-        groups = [[b.varmap.id_of((TAG_INV, x, i)) for x in atoms] for i in range(1, n + 1)]
         b.at_most("SDM7", groups, card_method)
-    else:  # SDS7: one global bound
-        b.at_most("SDS7", [
-            [b.varmap.id_of((TAG_INV, x, i)) for x in atoms for i in range(1, n + 1)]
-        ], card_method)
+    else:  # SDS7: one global bound, formula-major
+        b.at_most("SDS7", [[lit for g in groups for lit in g]], card_method)
     return b.finish(base_size, u)
 
 

@@ -178,6 +178,23 @@ def test_run_matrix_records_backend_errors(k4, tmp_path):
     assert not records[0].solved and not records[0].timed_out
 
 
+def test_timeout_rows_carry_the_remaining_bounds(k7, sleepy_solver, tmp_path):
+    backend = BackendConfig(kind="external", solver_path=sleepy_solver, timeout=0.5)
+    records = run_matrix(
+        [("k7", k7)], ["hit-distance"], ["sat-binary", "naive"], 0.5,
+        cfg=RunConfig(backend=backend),
+    )
+    by_method = {r.method: r for r in records}
+    assert by_method["sat-binary"].status == "timeout"
+    assert by_method["sat-binary"].bounds == (0, 3)  # the first probe never answered
+    assert by_method["naive"].status == "ok" and by_method["naive"].bounds is None
+    emit_reports(records, tmp_path, timeout_seconds=0.5)
+    rows = _read(tmp_path / "results.csv")
+    assert rows[0][-2:] == ["bounds_lo", "bounds_hi"]
+    by_row = {row[2]: row[-2:] for row in rows[1:]}
+    assert by_row == {"sat-binary": ["0", "3"], "naive": ["", ""]}
+
+
 def _read(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))

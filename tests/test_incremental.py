@@ -1,6 +1,7 @@
 """Incremental solving: assumptions, the kept engine, growing encodings,
 and search sessions that probe one instance."""
 
+import gc
 import itertools
 import random
 import time
@@ -12,10 +13,15 @@ from hypothesis import given
 from incmeter import search
 from incmeter.bench import SrsParams, generate_corpus
 from incmeter.cardinality import CounterAllocator, SequentialCounter
-from incmeter.cnf import CnfInstance
-from incmeter.encodings import encode, encode_contension_maxsat, prepare_kb
-from incmeter.kb import parse_kb
-from incmeter.oracles import MeasureUndefinedError
+from incmeter.cnf import TAG_INV, CnfInstance
+from incmeter.encodings import (
+    encode,
+    encode_contension_maxsat,
+    expected_base_size,
+    prepare_kb,
+)
+from incmeter.kb import atoms_of, parse_kb
+from incmeter.oracles import MeasureUndefinedError, oracle_value
 from incmeter.search import RunConfig, binary_search, linear_search
 from incmeter.solver import (
     BackendConfig,
@@ -264,3 +270,103 @@ def test_one_shot_encoding_is_the_session_plus_units(k7, measure, card):
             one_shot = encode(measure, kb, u, card)
             assert one_shot.cnf.clauses == session.cnf.clauses + [[lit] for lit in lits], u
             assert one_shot.cnf.num_vars == session.cnf.num_vars, u
+
+
+# --- distance counters over the atoms each formula mentions -----------------
+
+DISTANCES = ("max-distance", "sum-distance")
+CARDS = ("sequential", "binomial")
+# Each formula mentions few of the seven atoms; "d || +" folds to +.
+SPARSE = parse_kb("a && b\n!a && !b && c\nd || +\n!c\ne && !f\nf || g\n!g")
+
+
+def _sparse_kbs():
+    corpus = generate_corpus(SrsParams(8, 3, 7, pd=0.25, pc=0.25, pn=0.2, seed=401), 8)
+    return [kb for _, kb in corpus] + [SPARSE, parse_kb("a\n- && b\n!a || c")]
+
+
+def _mentioned_invs(enc, kb):
+    """inv(x, i) for each atom x of the i-th prepared formula, formula by formula."""
+    return [
+        enc.varmap.id_of((TAG_INV, x, i))
+        for i, formula in enumerate(prepare_kb(kb), 1)
+        for x in sorted(atoms_of(formula))
+    ]
+
+
+def _counted(measure, kb):
+    """How many literals the bound can count: per formula, or in total."""
+    sizes = [len(atoms_of(f)) for f in prepare_kb(kb)]
+    return max(sizes) if measure == "max-distance" else sum(sizes)
+
+
+@pytest.mark.parametrize("card", CARDS)
+@pytest.mark.parametrize("measure", DISTANCES)
+def test_distance_counters_take_only_mentioned_atoms(k7, measure, card):
+    for kb in (k7, SPARSE):
+        enc = encode(measure, kb, None, card)
+        invs = _mentioned_invs(enc, kb)
+        assert [-lit for lit in enc.assume(0)] == invs
+        tag = "SDM7" if measure == "max-distance" else "SDS7"
+        for u in range(1, _counted(measure, kb)):
+            enc.assume(u)
+        used = {
+            abs(lit)
+            for rule, start, end in enc.rule_spans if rule == tag
+            for clause in enc.cnf.clauses[start:end]
+            for lit in clause
+        }
+        aux = {v for v in used if enc.varmap.name_of(v)[0] == "aux"}
+        assert used - aux <= set(invs), (measure, card)
+    assert len(invs) == 11  # of SPARSE's 49 inv variables
+
+
+@pytest.mark.parametrize("card", CARDS)
+@pytest.mark.parametrize("measure", DISTANCES)
+def test_distance_bound_past_the_counted_atoms_adds_nothing(k7, measure, card):
+    for kb in (k7, SPARSE):
+        enc = encode(measure, kb, None, card)
+        size = (len(enc.cnf.clauses), enc.cnf.num_vars)
+        count = _counted(measure, kb)
+        for u in (count, count + 1, search.search_range(measure, kb).max):
+            assert enc.assume(u) == [], (measure, card, u)
+            assert (len(enc.cnf.clauses), enc.cnf.num_vars) == size
+
+
+@pytest.mark.parametrize("card", CARDS)
+@pytest.mark.parametrize("measure", DISTANCES)
+def test_distance_values_on_sparse_kbs_match_the_oracle(measure, card):
+    cfg = RunConfig(card_method=card)
+    for kb in _sparse_kbs():
+        want = oracle_value(kb, measure)
+        assert binary_search(measure, kb, cfg).value == want, kb
+        assert linear_search(measure, kb, cfg).value == want, kb
+
+
+def test_distance_base_sizes_hold_on_sparse_kbs(k7):
+    for kb in [k7, *_sparse_kbs()]:
+        for measure in DISTANCES:
+            for card in CARDS:
+                enc = encode(measure, kb, None, card)
+                assert enc.base_signature_size == expected_base_size(measure, kb)
+
+
+def test_finished_searches_leave_no_instance_for_the_cyclic_collector(k7):
+    """No encoding, its clauses or its kept engine outlive the search in a
+    reference cycle: with the collector off, none is left alive."""
+
+    def live():
+        return sum(isinstance(obj, CnfInstance) for obj in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live()
+        for measure in MEASURES:
+            for method in ("sat-binary", "sat-linear"):
+                search.compute(measure, k7, method)
+                assert live() == before, (measure, method)
+        search.compute("contension", k7, "maxsat")
+        assert live() == before
+    finally:
+        gc.enable()
