@@ -129,6 +129,7 @@ def _outcome_json(outcome: SearchOutcome) -> str:
         "status": outcome.status,
         "value": None if outcome.value is None else format_value(outcome.value),
         "solverCalls": outcome.solver_calls,
+        "engineCounters": outcome.engine_counters,
         "phaseTimes": {k: round(v, 6) for k, v in outcome.phase_times.items()},
         "totalSeconds": round(outcome.total_seconds, 6),
     }

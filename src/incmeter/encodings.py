@@ -335,10 +335,15 @@ def encode_forgetting(
             b.add_clauses("SF-link", _iff(var(TAG_OCC, occs[0]), var(TAG_OCC, occ)))
     for occ in occurrences:  # SF4
         b.add_clauses("SF4", [[-var(TAG_FORGET_TOP, occ), -var(TAG_FORGET_BOT, occ)]])
-    forget_vars = [
-        var(tag, occ) for occ in occurrences for tag in (TAG_FORGET_TOP, TAG_FORGET_BOT)
-    ]
-    b.at_most("SF5", [forget_vars], card_method)
+    # SF5 counts forgotten occurrences: d_{X,l} holds when either switch of
+    # X^l does, and SF4 makes the two exclusive, so the count is unchanged
+    # while the counter takes |Occ| inputs instead of 2 * |Occ|.
+    forgotten = []
+    for occ in occurrences:
+        d = b.varmap.fresh_aux()
+        b.add_clauses("SF5", [[-var(TAG_FORGET_TOP, occ), d], [-var(TAG_FORGET_BOT, occ), d]])
+        forgotten.append(d)
+    b.at_most("SF5", [forgotten], card_method)
     return b.finish(base_size, u)
 
 

@@ -44,6 +44,9 @@ METHODS = ("sat-binary", "sat-linear", "maxsat", "naive", "asp")
 
 PHASES = ("encoding", "cnfTransform", "solving", "other")
 
+# the internal engine's work counts, summed over a search's SAT calls
+ENGINE_COUNTERS = ("decisions", "propagations", "conflicts", "restarts")
+
 
 @dataclass(frozen=True)
 class SearchRange:
@@ -98,6 +101,8 @@ class SearchOutcome:
     total_seconds: float
     status: str = "ok"  # "ok" | "timeout"
     bounds: tuple[int, int] | None = None  # remaining range on timeout
+    engine_counters: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(ENGINE_COUNTERS, 0))
 
     @property
     def timed_out(self) -> bool:
@@ -109,6 +114,7 @@ class _PhaseClock:
         self.start = time.perf_counter()
         self.acc = {"encoding": 0.0, "cnfTransform": 0.0, "solving": 0.0}
         self.calls = 0  # SAT calls that ran, timed-out ones included
+        self.counters = dict.fromkeys(ENGINE_COUNTERS, 0)
 
     def outcome(self, measure: str, method: str, value: Value | None,
                 calls: int, status: str = "ok",
@@ -116,7 +122,8 @@ class _PhaseClock:
         total = time.perf_counter() - self.start
         other = max(0.0, total - sum(self.acc.values()))
         phases = dict(self.acc, other=other)
-        return SearchOutcome(measure, method, value, calls, phases, total, status, bounds)
+        return SearchOutcome(measure, method, value, calls, phases, total, status, bounds,
+                             dict(self.counters))
 
 
 class _Session:
@@ -157,6 +164,8 @@ class _Session:
         result = solve(enc.cnf, replace(self.backend, timeout=remaining), assumptions)
         clock.acc["solving"] += time.perf_counter() - begin
         clock.calls += 1
+        for name in ENGINE_COUNTERS:
+            clock.counters[name] += getattr(result, name)
         if result.status is SolveStatus.TIMEOUT:
             return None
         self.refuted = result.refuted
@@ -234,7 +243,8 @@ def solve_maxsat(
     left as is) and a sequential counter over the violation literals: an
     unbounded call, then a bisection on the violation budget in which a
     model moves the upper end down to its own violation count.  When `stats`
-    is given, the number of SAT calls is recorded under ``"calls"``.
+    is given, the number of SAT calls is recorded under ``"calls"`` and the
+    engine's summed work counts under the names of ``ENGINE_COUNTERS``.
     """
     cfg = cfg or BackendConfig()
     stats = {} if stats is None else stats
@@ -255,7 +265,7 @@ def solve_maxsat(
 
     def probe(bound: int | None) -> bool:
         verdict = session.probe(bound)
-        stats["calls"] = clock.calls
+        stats.update(clock.counters, calls=clock.calls)
         if verdict is None:
             raise TimeoutError("MaxSAT search timed out")
         return verdict
@@ -297,8 +307,10 @@ def _compute_maxsat(measure: str, kb: KnowledgeBase, cfg: RunConfig) -> SearchOu
         ) from exc
     except TimeoutError:
         clock.acc["solving"] += time.perf_counter() - begin
+        clock.counters.update((k, stats.get(k, 0)) for k in ENGINE_COUNTERS)
         return clock.outcome(measure, "maxsat", None, stats.get("calls", 0), "timeout")
     clock.acc["solving"] += time.perf_counter() - begin
+    clock.counters.update((k, stats[k]) for k in ENGINE_COUNTERS)
     return clock.outcome(measure, "maxsat", cost, stats.get("calls", 1))
 
 

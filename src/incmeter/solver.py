@@ -40,6 +40,11 @@ class SolverResult:
     elapsed: float = 0.0
     # UNSAT whatever the assumptions: the clauses alone have no model
     refuted: bool = False
+    # the internal engine's work in this call (0 from an external solver)
+    decisions: int = 0
+    propagations: int = 0
+    conflicts: int = 0
+    restarts: int = 0
 
     @property
     def is_sat(self) -> bool:
@@ -91,19 +96,26 @@ class _Cdcl:
     carry over, since none of them depends on the assumptions.  A conflict
     at level 0 refutes the clauses themselves, and every later call answers
     UNSAT at once.
+
+    Truth values and watch lists are indexed by literal: entry ``v`` holds
+    literal v and entry ``-v`` (read from the end of the list) literal -v,
+    so ``assign[v]`` is also variable v's value.
     """
 
     CHECK_EVERY = 2048  # ticks (propagated literals, decisions, loaded clauses)
 
     def __init__(self) -> None:
         self.n = 0
-        self.assign = [0]  # 0 free, 1 true, -1 false
+        self.assign = [0]  # by literal: 0 free, 1 true, -1 false
+        self.watches: list[list[list[int]]] = [[]]  # by literal: clauses to visit once it is true
         self.level = [0]
         self.reason: list[list[int] | None] = [None]
         self.saved = [False]
         self.activity = [0.0]
         self.act_inc = 1.0
-        self.seen = bytearray(1)  # scratch for _analyze, all zero between calls
+        # scratch marks, all zero between uses: 1 per variable in _analyze,
+        # the sign of the literal taken (1 or 2) in add_clause
+        self.seen = bytearray(1)
         # Decision order: a lazy heap of (-activity, var) holding every free
         # variable of positive activity (stale keys and assigned variables
         # are skipped when popped), plus a cursor below which no free variable
@@ -112,27 +124,26 @@ class _Cdcl:
         self.in_heap = bytearray(1)  # an entry with the current key is queued
         self.bumped: list[int] = []  # variables of positive activity
         self.cursor = 1
-        self.watches: dict[int, list[list[int]]] = {}
         self.trail: list[int] = []
         self.qhead = 0
         self.loaded = 0  # clauses of the instance added so far
         self.deadline: float | None = None
         self.ok = True  # False once the clauses are refuted
         self.ticks = 0
+        # work of the current call
+        self.decisions = self.propagations = self.conflicts = self.restarts = 0
 
     def _tick(self) -> None:
+        """Count one unit of work; past the deadline, end the call."""
         self.ticks += 1
         if self.deadline is not None and self.ticks % self.CHECK_EVERY == 0:
             if time.monotonic() > self.deadline:
                 raise _DeadlineReached
 
-    def _value(self, lit: int) -> int:
-        v = self.assign[abs(lit)]
-        return v if lit > 0 else -v
-
     def _enqueue(self, lit: int, reason: list[int] | None, level: int) -> None:
         var = abs(lit)
-        self.assign[var] = 1 if lit > 0 else -1
+        self.assign[lit] = 1
+        self.assign[-lit] = -1
         self.level[var] = level
         self.reason[var] = reason
         self.trail.append(lit)
@@ -141,85 +152,118 @@ class _Cdcl:
         """Add the variables and clauses appended to `cnf` since the last call."""
         extra = cnf.num_vars - self.n
         if extra > 0:
+            # new literals go between the positive and the negative ends
+            mid = self.n + 1
+            self.assign[mid:mid] = [0] * (2 * extra)
+            self.watches[mid:mid] = [[] for _ in range(2 * extra)]
             self.n = cnf.num_vars
-            self.assign += [0] * extra
             self.level += [0] * extra
             self.reason += [None] * extra
             self.saved += [False] * extra
             self.activity += [0.0] * extra
             self.seen += bytes(extra)
             self.in_heap += bytes(extra)
-        clauses = cnf.clauses
+        clauses, tick, add_clause = cnf.clauses, self._tick, self.add_clause
         while self.ok and self.loaded < len(clauses):
-            self._tick()
-            self.add_clause(clauses[self.loaded])
+            tick()
+            add_clause(clauses[self.loaded])
             self.loaded += 1
         self.loaded = len(clauses)
 
     def add_clause(self, lits: Sequence[int]) -> None:
-        """Add a clause at level 0, simplified against the level-0 facts."""
-        seen: set[int] = set()
+        """Add a clause at level 0, simplified against the level-0 facts:
+        repeated and false literals dropped, satisfied or tautological
+        clauses skipped."""
+        assign, seen = self.assign, self.seen
         clause: list[int] = []
+        skip = False
         for lit in lits:
-            if -lit in seen:
-                return  # tautology
-            val = self._value(lit)
+            var, mark = (lit, 1) if lit > 0 else (-lit, 2)
+            if seen[var]:
+                if seen[var] != mark:
+                    skip = True  # tautology
+                    break
+                continue
+            val = assign[lit]
             if val > 0:
-                return  # satisfied for good
-            if val == 0 and lit not in seen:
-                seen.add(lit)
+                skip = True  # satisfied for good
+                break
+            if val == 0:
+                seen[var] = mark
                 clause.append(lit)
-        if not clause:
-            self.ok = False
-        elif len(clause) == 1:
+        for lit in clause:
+            seen[abs(lit)] = 0
+        if skip:
+            return
+        if len(clause) > 1:
+            self._attach(clause)
+        elif clause:
             self._enqueue(clause[0], None, 0)
         else:
-            self._attach(clause)
+            self.ok = False
 
     def _attach(self, clause: list[int]) -> None:
-        for lit in clause[:2]:
-            self.watches.setdefault(-lit, []).append(clause)
+        self.watches[-clause[0]].append(clause)
+        self.watches[-clause[1]].append(clause)
 
     def _propagate(self, level: int) -> list[int] | None:
-        while self.qhead < len(self.trail):
-            self.ticks += 1
-            if self.deadline is not None and self.ticks % self.CHECK_EVERY == 0:
-                if time.monotonic() > self.deadline:
-                    raise _DeadlineReached
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            watch_list = self.watches.get(lit)
-            if not watch_list:
-                continue
-            kept = []
-            i = 0
-            while i < len(watch_list):
-                clause = watch_list[i]
+        """Propagate the trail from the queue head; the conflicting clause,
+        if one arises.  Each watch list is compacted in place."""
+        assign, watches, trail = self.assign, self.watches, self.trail
+        levels, reasons = self.level, self.reason
+        deadline, check = self.deadline, self.CHECK_EVERY
+        qhead = start = self.qhead
+        ticks = self.ticks
+        conflict = None
+        while qhead < len(trail):
+            ticks += 1
+            if deadline is not None and ticks % check == 0 and time.monotonic() > deadline:
+                self.qhead, self.ticks = qhead, ticks
+                self.propagations += qhead - start
+                raise _DeadlineReached
+            lit = trail[qhead]
+            qhead += 1
+            ws = watches[lit]
+            false_lit = -lit
+            i = j = 0
+            end = len(ws)
+            while i < end:
+                clause = ws[i]
                 i += 1
                 # Normalize: watched literals sit at positions 0 and 1.
-                if clause[0] == -lit:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._value(first) > 0:
-                    kept.append(clause)
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0], clause[1] = first, false_lit
+                val = assign[first]
+                if val <= 0:
+                    for k in range(2, len(clause)):
+                        other = clause[k]
+                        if assign[other] >= 0:
+                            clause[1], clause[k] = other, false_lit
+                            watches[-other].append(clause)
+                            break
+                    else:  # no other literal to watch: unit or conflicting
+                        ws[j] = clause
+                        j += 1
+                        if val < 0:
+                            conflict = clause
+                            break
+                        assign[first] = 1
+                        assign[-first] = -1
+                        var = first if first > 0 else -first
+                        levels[var] = level
+                        reasons[var] = clause
+                        trail.append(first)
                     continue
-                moved = False
-                for j in range(2, len(clause)):
-                    if self._value(clause[j]) >= 0:
-                        clause[1], clause[j] = clause[j], clause[1]
-                        self.watches.setdefault(-clause[1], []).append(clause)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                kept.append(clause)
-                if self._value(first) < 0:
-                    kept.extend(watch_list[i:])
-                    self.watches[lit] = kept
-                    return clause
-                self._enqueue(first, clause, level)
-            self.watches[lit] = kept
-        return None
+                ws[j] = clause
+                j += 1
+            del ws[j:i]
+            if conflict is not None:
+                break
+        self.qhead, self.ticks = qhead, ticks
+        self.propagations += qhead - start
+        return conflict
 
     def _bump(self, var: int) -> None:
         activity = self.activity
@@ -255,32 +299,32 @@ class _Cdcl:
 
     def _analyze(self, conflict: list[int], level: int) -> tuple[list[int], int]:
         learned = [0]
-        seen = self.seen
+        seen, levels, trail, reasons = self.seen, self.level, self.trail, self.reason
         counter = 0
         lit0 = 0
         reason = conflict
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         while True:
             for lit in reason:
                 if lit == lit0:
                     continue  # the implied literal of its own reason clause
                 var = abs(lit)
-                if not seen[var] and self.level[var] > 0:
+                if not seen[var] and levels[var] > 0:
                     seen[var] = 1
                     self._bump(var)
-                    if self.level[var] >= level:
+                    if levels[var] >= level:
                         counter += 1
                     else:
                         learned.append(lit)
-            while not seen[abs(self.trail[idx])]:
+            while not seen[abs(trail[idx])]:
                 idx -= 1
-            lit0 = self.trail[idx]
+            lit0 = trail[idx]
             seen[abs(lit0)] = 0
             idx -= 1
             counter -= 1
             if counter == 0:
                 break
-            reason = self.reason[abs(lit0)] or []
+            reason = reasons[abs(lit0)] or []
         learned[0] = -lit0
         for lit in learned[1:]:
             seen[abs(lit)] = 0
@@ -288,10 +332,10 @@ class _Cdcl:
         if len(learned) > 1:
             max_i = 1
             for i in range(2, len(learned)):
-                if self.level[abs(learned[i])] > self.level[abs(learned[max_i])]:
+                if levels[abs(learned[i])] > levels[abs(learned[max_i])]:
                     max_i = i
             learned[1], learned[max_i] = learned[max_i], learned[1]
-            back_level = self.level[abs(learned[1])]
+            back_level = levels[abs(learned[1])]
         # Keep the compaction cost linear in the pushes that made the garbage.
         if len(self.heap) > 2 * len(self.bumped) + 1024:
             self._rebuild_heap()
@@ -300,15 +344,16 @@ class _Cdcl:
     def _backtrack(self, back_level: int) -> None:
         trail, level, assign = self.trail, self.level, self.assign
         activity, in_heap = self.activity, self.in_heap
+        saved, reason, heap = self.saved, self.reason, self.heap
         while trail and level[abs(trail[-1])] > back_level:
             lit = trail.pop()
             var = abs(lit)
-            self.saved[var] = lit > 0
-            assign[var] = 0
-            self.reason[var] = None
+            saved[var] = lit > 0
+            assign[lit] = assign[-lit] = 0
+            reason[var] = None
             if activity[var] > 0.0:
                 if not in_heap[var]:
-                    heapq.heappush(self.heap, (-activity[var], var))
+                    heapq.heappush(heap, (-activity[var], var))
                     in_heap[var] = 1
             elif var < self.cursor:
                 self.cursor = var
@@ -326,31 +371,37 @@ class _Cdcl:
             self.in_heap[var] = 0
             if not assign[var]:
                 return var
-        var = self.cursor
-        while var <= self.n and (assign[var] or activity[var] > 0.0):
+        var, n = self.cursor, self.n
+        while var <= n and (assign[var] or activity[var] > 0.0):
             var += 1
         self.cursor = var
-        return var if var <= self.n else 0
+        return var if var <= n else 0
 
     def solve(self, assumptions: Sequence[int] = ()) -> SolverResult:
+        self.decisions = self.propagations = self.conflicts = self.restarts = 0
         start = time.monotonic()
         try:
-            return self._search(assumptions)
+            result = self._search(assumptions)
         except _DeadlineReached:
-            return SolverResult(SolveStatus.TIMEOUT, elapsed=time.monotonic() - start)
+            result = SolverResult(SolveStatus.TIMEOUT, elapsed=time.monotonic() - start)
         finally:
             self._backtrack(0)
+        result.decisions, result.propagations = self.decisions, self.propagations
+        result.conflicts, result.restarts = self.conflicts, self.restarts
+        return result
 
     def _search(self, assumptions: Sequence[int]) -> SolverResult:
         refuted = SolverResult(SolveStatus.UNSAT, refuted=True)
-        if not self.ok or self._propagate(0) is not None:
-            self.ok = False
+        if not self.ok:
             return refuted
+        assign, saved = self.assign, self.saved
+        propagate, decide, enqueue = self._propagate, self._decide, self._enqueue
         level = 0
         conflicts_until_restart = 128
         while True:
-            conflict = self._propagate(level)
+            conflict = propagate(level)
             if conflict is not None:
+                self.conflicts += 1
                 if level == 0:
                     self.ok = False
                     return refuted
@@ -358,14 +409,15 @@ class _Cdcl:
                 self._backtrack(back_level)
                 level = back_level
                 if len(learned) == 1:
-                    self._enqueue(learned[0], None, 0)
+                    enqueue(learned[0], None, 0)
                 else:
                     self._attach(learned)
-                    self._enqueue(learned[0], learned, level)
+                    enqueue(learned[0], learned, level)
                 self.act_inc *= 1.05
                 conflicts_until_restart -= 1
                 if conflicts_until_restart <= 0 and level > 0:
                     conflicts_until_restart = 128
+                    self.restarts += 1
                     self._backtrack(0)
                     level = 0
                 continue
@@ -373,19 +425,20 @@ class _Cdcl:
             # holds opens an empty level, one that is false ends the call.
             lit = 0
             while not lit and level < len(assumptions):
-                val = self._value(assumptions[level])
+                val = assign[assumptions[level]]
                 if val < 0:
                     return SolverResult(SolveStatus.UNSAT)
                 lit = assumptions[level] if val == 0 else 0
                 level += 1
             if not lit:
-                var = self._decide()
+                var = decide()
                 if var == 0:
-                    model = {v: self.assign[v] > 0 for v in range(1, self.n + 1)}
+                    model = {v: assign[v] > 0 for v in range(1, self.n + 1)}
                     return SolverResult(SolveStatus.SAT, model)
+                self.decisions += 1
                 level += 1
-                lit = var if self.saved[var] else -var
-            self._enqueue(lit, None, level)
+                lit = var if saved[var] else -var
+            enqueue(lit, None, level)
 
 
 class _DeadlineReached(Exception):

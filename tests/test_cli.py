@@ -39,6 +39,9 @@ def test_measure_contension_k4(kb_file, capsys):
     assert set(payload["phaseTimes"]) == {
         "encoding", "cnfTransform", "solving", "other",
     }
+    counters = payload["engineCounters"]
+    assert set(counters) == {"decisions", "propagations", "conflicts", "restarts"}
+    assert counters["propagations"] > 0
 
 
 def test_measure_hs_naive_k6_prints_inf(kb_file, capsys):

@@ -370,3 +370,146 @@ def test_finished_searches_leave_no_instance_for_the_cyclic_collector(k7):
         assert live() == before
     finally:
         gc.enable()
+
+
+# --- the literal-indexed engine ---------------------------------------------
+
+
+def _watched(engine):
+    """Every clause the engine watches, by id, after checking that each one
+    sits in exactly the watch lists of its first two literals."""
+    where = {}
+    clauses = {}
+    for lit in range(-engine.n, engine.n + 1):
+        for clause in engine.watches[lit]:
+            where.setdefault(id(clause), []).append(lit)
+            clauses[id(clause)] = clause
+    for key, clause in clauses.items():
+        assert sorted(where[key]) == sorted([-clause[0], -clause[1]]), clause
+    return clauses
+
+
+def _simplified(facts, raw):
+    """The clauses as loading should keep them, each simplified against the
+    facts and the unit clauses loaded before it: (level-0 literals in load
+    order, clauses of two or more literals, whether an empty clause arose)."""
+    fixed = list(facts)
+    kept = []
+    for clause in raw:
+        if any(lit in fixed or -lit in clause for lit in clause):
+            continue  # satisfied at level 0, or a tautology
+        short = list(dict.fromkeys(lit for lit in clause if -lit not in fixed))
+        if not short:
+            return fixed, kept, True
+        if len(short) == 1:
+            fixed.append(short[0])
+        else:
+            kept.append(short)
+    return fixed, kept, False
+
+
+@given(
+    st.lists(literals, max_size=4, unique_by=abs),
+    st.lists(st.lists(literals, min_size=1, max_size=6), max_size=10),
+    st.lists(literals, max_size=3, unique_by=abs),
+)
+def test_add_clause_simplifies_against_level_zero(facts, raw, assumptions):
+    """Repeated literals, tautologies and literals fixed at level 0: the
+    engine keeps exactly the simplified clauses and answers as a fresh solve
+    of them does."""
+    cnf = CnfInstance(N_VARS, [[lit] for lit in facts] + raw)
+    engine = cnf.engine = _Cdcl()
+    engine.load(cnf)
+    fixed, kept, refuted = _simplified(facts, raw)
+    assert engine.ok is not refuted
+    assert not any(engine.seen)
+    if not refuted:
+        assert engine.trail == fixed
+        assert sorted(_watched(engine).values()) == sorted(kept)
+    got = solve_internal(cnf, assumptions=assumptions)
+    _watched(engine)  # the watch invariant holds after a search too
+    if refuted:
+        assert got.refuted
+        assert solve_internal(CnfInstance(N_VARS, cnf.clauses)).status is SolveStatus.UNSAT
+        return
+    units = [[a] for a in assumptions]
+    fresh = solve_internal(CnfInstance(N_VARS, [[lit] for lit in fixed] + kept + units))
+    assert got.status is fresh.status
+
+
+def test_engine_grows_across_loads_and_agrees_with_fresh_solves():
+    """One engine's variable count grows from a few to several hundred over
+    many loads.  Its per-literal arrays stay consistent, and its level-0
+    facts, learned clauses and verdicts under assumptions agree with fresh
+    solves of the clauses it was given."""
+    rng = random.Random(7)
+    cnf = CnfInstance(0, [])
+    checked: set[int] = set()
+    facts_checked = 0
+    verdicts = set()
+
+    def implied(clause):
+        units = [[-lit] for lit in clause]
+        return solve_internal(CnfInstance(cnf.num_vars, cnf.clauses + units)).status is SolveStatus.UNSAT
+
+    while cnf.num_vars < 400:
+        old = cnf.num_vars
+        cnf.num_vars += rng.randint(1, 15)
+        new = range(old + 1, cnf.num_vars + 1)
+        for _ in range(2 * len(new)):
+            lits = [rng.choice(new)] + rng.sample(range(1, cnf.num_vars + 1), min(2, cnf.num_vars))
+            cnf.clauses.append(list({v * rng.choice((1, -1)) for v in lits}))
+        if rng.random() < 0.2:
+            cnf.clauses.append([rng.choice((1, -1)) * rng.randint(1, cnf.num_vars)])
+        picked = rng.sample(range(1, cnf.num_vars + 1), min(8, cnf.num_vars))
+        assumptions = [v * rng.choice((1, -1)) for v in picked]
+        got = solve_internal(cnf, assumptions=assumptions)
+        units = [[a] for a in assumptions]
+        assert got.status is solve_internal(CnfInstance(cnf.num_vars, cnf.clauses + units)).status
+        verdicts.add(got.status)
+        engine = cnf.engine
+        n = engine.n
+        assert n == cnf.num_vars
+        assert len(engine.assign) == len(engine.watches) == 2 * n + 1
+        assert all(engine.assign[v] == -engine.assign[-v] for v in range(1, n + 1))
+        for lit in engine.trail[facts_checked:]:  # level-0 facts since the last step
+            assert implied([lit]), lit
+        facts_checked = len(engine.trail)
+        given_sets = [set(c) for c in cnf.clauses]
+        for clause in _watched(engine).values():
+            if id(clause) not in checked and not any(set(clause) <= g for g in given_sets):
+                checked.add(id(clause))
+                assert implied(clause), clause
+    assert engine.ok and facts_checked > 10 and len(checked) > 10
+    assert verdicts == {SolveStatus.SAT, SolveStatus.UNSAT}
+
+
+# --- forgetting counts forgotten occurrences ---------------------------------
+
+
+def _forgetting_kbs(k7):
+    corpus = generate_corpus(SrsParams(5, 3, 7, seed=523), 8)
+    return [k7, *(kb for _, kb in corpus), parse_kb("x && !x\n(x || y) && !y\n+ || z")]
+
+
+@pytest.mark.parametrize("card", CARDS)
+def test_forgetting_counter_takes_one_literal_per_occurrence(k7, card):
+    for kb in _forgetting_kbs(k7):
+        occurrences = len(prepare_kb(kb).occurrences())
+        enc = encode("forgetting", kb, None, card)
+        assert enc.base_signature_size == 3 * occurrences == expected_base_size("forgetting", kb)
+        lits = enc.assume(0)
+        assert len(set(lits)) == len(lits) == occurrences
+        assert all(enc.varmap.name_of(-lit)[0] == "aux" for lit in lits)
+
+
+@pytest.mark.parametrize("card", CARDS)
+def test_forgetting_values_match_the_oracle(k7, card):
+    cfg = RunConfig(card_method=card)
+    values = set()
+    for kb in _forgetting_kbs(k7):
+        want = oracle_value(kb, "forgetting")
+        values.add(want)
+        assert binary_search("forgetting", kb, cfg).value == want, kb
+        assert linear_search("forgetting", kb, cfg).value == want, kb
+    assert len(values) > 2

@@ -8,6 +8,7 @@ from incmeter.bench import SrsParams, generate_corpus
 from incmeter.kb import parse_kb
 from incmeter.oracles import MeasureUndefinedError, oracle_value
 from incmeter.search import (
+    ENGINE_COUNTERS,
     METHODS,
     PHASES,
     RunConfig,
@@ -195,3 +196,23 @@ def test_maxsat_values_and_calls_are_pinned():
     kbs = generate_corpus(SrsParams(6, 8, 14, seed=7), 20)
     got = [compute("contension", kb, "maxsat") for _, kb in kbs]
     assert [(out.value, out.solver_calls) for out in got] == want
+
+
+@pytest.mark.parametrize("method", ["sat-binary", "sat-linear", "maxsat"])
+def test_outcome_sums_the_engine_counters_of_its_calls(k7, monkeypatch, method):
+    from incmeter import search
+
+    results = []
+    original = search.solve
+
+    def recording(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(search, "solve", recording)
+    out = compute("contension", k7, method)
+    assert len(results) == out.solver_calls
+    assert set(out.engine_counters) == set(ENGINE_COUNTERS)
+    for name in ENGINE_COUNTERS:
+        assert out.engine_counters[name] == sum(getattr(r, name) for r in results), name
+    assert out.engine_counters["propagations"] > 0

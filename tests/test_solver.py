@@ -15,6 +15,7 @@ from incmeter.solver import (
     MaxSatInstance,
     SolveStatus,
     SolverOutputError,
+    _Cdcl,
     emit_dimacs,
     emit_wcnf,
     parse_dimacs,
@@ -114,6 +115,38 @@ def test_timeout_is_reported():
                 clauses.append([-var[p1, h], -var[p2, h]])
     res = solve_internal(CnfInstance(len(vm), clauses, vm), deadline=time.monotonic())
     assert res.status is SolveStatus.TIMEOUT
+
+
+def _pigeonhole(pigeons, holes):
+    var = lambda p, h: p * holes + h + 1  # noqa: E731
+    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
+    for h in range(holes):
+        for p1, p2 in itertools.combinations(range(pigeons), 2):
+            clauses.append([-var(p1, h), -var(p2, h)])
+    return CnfInstance(pigeons * holes, clauses)
+
+
+def test_engine_counts_its_work():
+    """A call reports its decisions, propagated literals, conflicts and
+    restarts; ticks beyond loading are the propagated literals plus one per
+    decision rule consulted."""
+    res = solve_internal(CnfInstance(4, [[1], [-1, 2], [-2, 3]]))
+    assert (res.decisions, res.propagations, res.conflicts, res.restarts) == (1, 4, 0, 0)
+    res = solve_internal(_pigeonhole(6, 5))
+    assert res.status is SolveStatus.UNSAT
+    assert res.conflicts > 128 and res.restarts == 1 and res.decisions > 0
+    rng = random.Random(41)
+    for _ in range(200):
+        cnf = _random_cnf(rng)
+        engine = cnf.engine = _Cdcl()
+        engine.load(cnf)
+        loaded, loaded_ok = engine.ticks, engine.ok
+        res = solve_internal(cnf)
+        assert engine.ticks - loaded == res.propagations + res.decisions + res.is_sat
+        if res.refuted:  # by a conflict at level 0, unless loading found one
+            assert (res.conflicts > 0) == loaded_ok
+        again = solve_internal(cnf, assumptions=[1])
+        assert again.conflicts <= again.propagations
 
 
 # --- DIMACS ---------------------------------------------------------------
