@@ -2,12 +2,13 @@
 
 Two encodings over a list of solver variables:
 
-* binomial — one all-negative clause per (k+1)-subset, C(n, k+1) clauses,
-  no auxiliary variables; fine for tiny inputs and for cross-validation.
 * sequential — the sequential-counter construction with O(n*k) auxiliary
-  register variables and clauses; the default used by the encodings.
+  register variables and clauses, the one the SAT encodings use.
   :class:`SequentialCounter` grows it column by column and bounds the count
   by one literal, so a search can add bounds by assumption.
+* binomial — one all-negative clause per (k+1)-subset, C(n, k+1) clauses,
+  no auxiliary variables; kept as the reference the sequential counter is
+  checked against.
 
 Both treat k >= n as the empty constraint and k == 0 as unit negatives.
 """

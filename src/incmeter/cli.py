@@ -51,12 +51,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--timeout", type=float, default=600.0, help="seconds per query")
         p.add_argument("--sat-solver", help="external DIMACS solver binary")
         p.add_argument("--asp-solver", help="external ASP solver binary")
-        p.add_argument(
-            "--card",
-            choices=["sequential", "binomial"],
-            default="sequential",
-            help="cardinality encoding",
-        )
 
     p = sub.add_parser("measure", help="compute an inconsistency value")
     p.add_argument("input", help="KB file")
@@ -75,9 +69,6 @@ def _build_parser() -> _Parser:
         "--maxsat", action="store_true", help="write the WCNF instance (contension)"
     )
     p.add_argument("-o", "--output", help="output path (default: stdout)")
-    p.add_argument(
-        "--card", choices=["sequential", "binomial"], default="sequential"
-    )
 
     p = sub.add_parser("emit-asp", help="write the answer-set program")
     p.add_argument("input", help="KB file")
@@ -113,7 +104,7 @@ def _run_config(args) -> RunConfig:
         solver_path=args.sat_solver,
         timeout=args.timeout,
     )
-    return RunConfig(backend=backend, card_method=args.card, asp_solver=args.asp_solver)
+    return RunConfig(backend=backend, asp_solver=args.asp_solver)
 
 
 def _method_name(args) -> str:
@@ -160,13 +151,13 @@ def _cmd_encode(args) -> int:
     if args.maxsat:
         if args.measure != "contension":
             raise MeasureUndefinedError("--maxsat is only defined for contension")
-        inst = encodings.encode_contension_maxsat(kb, args.card)
+        inst = encodings.encode_contension_maxsat(kb)
         _write_text(args.output, emit_wcnf(inst.hard, inst.soft_units))
         return EXIT_OK
     if args.bound is None:
         print("incmeter encode: error: -u/--bound is required", file=sys.stderr)
         return EXIT_USAGE
-    enc = encodings.encode(args.measure, kb, args.bound, args.card)
+    enc = encodings.encode(args.measure, kb, args.bound)
     _write_text(args.output, emit_dimacs(enc.cnf))
     return EXIT_OK
 

@@ -12,17 +12,18 @@ same and writes that bound's assumptions as unit clauses.
 
 Construction follows a fixed shape: allocate the base signature, write the
 fixed-shape rules as clauses over it, clausify the rules that embed a KB
-formula with the Tseitin converter, and attach cardinality constraints in
-clausal form.  The resulting :class:`SatEncoding` records which clause range
-each rule produced and the size of the base signature (auxiliary variables
-excluded), so structural properties can be checked against the per-encoding
-size formulas.  Every encoder accepts a KB that :func:`prepare_kb` already
-prepared and then does not prepare it again."""
+formula with the Tseitin converter, and bound the counted literals with a
+sequential counter per group, grown one register column per probed bound
+(``cardinality.SequentialCounter``).  The resulting :class:`SatEncoding`
+records which clause range each rule produced and the size of the base
+signature (auxiliary variables excluded), so structural properties can be
+checked against the per-encoding size formulas.  Every encoder accepts a
+KB that :func:`prepare_kb` already prepared and then does not prepare it
+again."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from . import cardinality
@@ -58,6 +59,7 @@ from .kb import (
     replace_at,
     substitute_atoms,
 )
+from .solver import MaxSatInstance
 
 THREE_VALUES = ("t", "f", "b")
 
@@ -131,43 +133,23 @@ class SatEncoding:
         self.cnf.clauses.extend(clauses)
         self._record(tag, start)
 
-    def at_most(self, tag: str, groups: list[list[int]], method: str) -> None:
+    def at_most(self, tag: str, groups: list[list[int]]) -> None:
         """At most the bound of each group's literals are true, a bound per
         :meth:`assume`: at most 0 makes every input false; above 0, a
-        sequential counter per group grows to the bound, or (binomial) the
-        bound's clauses go behind a fresh switch literal.  A bound that no
+        sequential counter per group grows to the bound.  A bound that no
         group exceeds in size adds nothing and assumes nothing."""
-        if method == "sequential":
-            counters = [cardinality.SequentialCounter(g, self.varmap) for g in groups]
-
-            def grow(enc: SatEncoding, u: int) -> list[int]:
-                lits = []
-                for counter in counters:
-                    clauses, lit = counter.at_most(u)
-                    enc.add_clauses(tag, clauses)
-                    if lit is not None:
-                        lits.append(lit)
-                return lits
-
-        elif method == "binomial":
-
-            def grow(enc: SatEncoding, u: int) -> list[int]:
-                clauses = [
-                    clause for g in groups for clause in cardinality.at_most_binomial(u, g)
-                ]
-                if not clauses:
-                    return []
-                switch = enc.varmap.fresh_aux()
-                enc.add_clauses(tag, [[-switch, *clause] for clause in clauses])
-                return [switch]
-
-        else:
-            raise ValueError(f"unknown cardinality method {method!r}")
+        counters = [cardinality.SequentialCounter(g, self.varmap) for g in groups]
 
         def assume(enc: SatEncoding, u: int) -> list[int]:
             if u == 0:
                 return [-lit for g in groups for lit in g]
-            return grow(enc, u)
+            lits = []
+            for counter in counters:
+                clauses, lit = counter.at_most(u)
+                enc.add_clauses(tag, clauses)
+                if lit is not None:
+                    lits.append(lit)
+            return lits
 
         self._bound_rule = (tag, assume)
 
@@ -192,16 +174,6 @@ class SatEncoding:
         return self
 
 
-@dataclass
-class MaxSatContension:
-    """Hard part SC3-SC16; soft units are the negated b-indicators."""
-
-    hard: CnfInstance
-    soft_units: list[int]
-    base_signature_size: int
-    cnf_transform_seconds: float = 0.0
-
-
 def _iff(a: int, b: int) -> list[list[int]]:
     return [[-a, b], [a, -b]]
 
@@ -224,9 +196,7 @@ def _site_key(site) -> tuple:
     return (site.formula_index, site.path)
 
 
-def encode_contension(
-    kb: KnowledgeBase, u: int | None = None, card_method: str = "sequential"
-) -> SatEncoding:
+def encode_contension(kb: KnowledgeBase, u: int | None = None) -> SatEncoding:
     pkb = prepared(kb)
     atoms = pkb.signature()
     sites = pkb.subformula_sites()
@@ -277,30 +247,23 @@ def encode_contension(
         root = next(site for site, _ in sites if site.formula_index == idx and not site.path)
         b.add_clauses("SC16", [[val(root, "t"), val(root, "b")]])
     b_vars = [tri(x, "b") for x in atoms]
-    b.at_most("SC17", [b_vars], card_method)
+    b.at_most("SC17", [b_vars])
     return b.finish(base_size, u)
 
 
-def encode_contension_maxsat(
-    kb: KnowledgeBase, card_method: str = "sequential"
-) -> MaxSatContension:
+def encode_contension_maxsat(kb: KnowledgeBase) -> MaxSatInstance:
     """Hard clauses SC3-SC16 with one weight-1 soft unit !X_b per atom."""
     pkb = prepared(kb)
-    enc = encode_contension(pkb, None, card_method)  # SC17 left out
-    atoms = pkb.signature()
-    soft = [-enc.varmap.id_of((TAG_TRI, x, "b")) for x in atoms]
-    return MaxSatContension(
-        enc.cnf, soft, enc.base_signature_size, enc.cnf_transform_seconds
-    )
+    enc = encode_contension(pkb)  # SC17 left out
+    soft = [-enc.varmap.id_of((TAG_TRI, x, "b")) for x in pkb.signature()]
+    return MaxSatInstance(enc.cnf, soft, enc.cnf_transform_seconds)
 
 
 # ---------------------------------------------------------------------------
 # Forgetting (occurrence substitution switches)
 
 
-def encode_forgetting(
-    kb: KnowledgeBase, u: int | None = None, card_method: str = "sequential"
-) -> SatEncoding:
+def encode_forgetting(kb: KnowledgeBase, u: int | None = None) -> SatEncoding:
     pkb = prepared(kb)
     occurrences = pkb.occurrences()
     b = SatEncoding("forgetting")
@@ -343,7 +306,7 @@ def encode_forgetting(
         d = b.varmap.fresh_aux()
         b.add_clauses("SF5", [[-var(TAG_FORGET_TOP, occ), d], [-var(TAG_FORGET_BOT, occ), d]])
         forgotten.append(d)
-    b.at_most("SF5", [forgotten], card_method)
+    b.at_most("SF5", [forgotten])
     return b.finish(base_size, u)
 
 
@@ -351,9 +314,7 @@ def encode_forgetting(
 # Hitting set (partition into satisfiable blocks)
 
 
-def encode_hs(
-    kb: KnowledgeBase, blocks: int | None = None, card_method: str = "sequential"
-) -> SatEncoding:
+def encode_hs(kb: KnowledgeBase, blocks: int | None = None) -> SatEncoding:
     """Satisfiable iff the KB partitions into `blocks` satisfiable blocks,
     i.e. iff the hitting-set value is at most blocks - 1.
 
@@ -402,7 +363,7 @@ def encode_hs(
 
 
 def _encode_distance_common(
-    kb: KnowledgeBase, u: int | None, per_formula_bound: bool, card_method: str
+    kb: KnowledgeBase, u: int | None, per_formula_bound: bool
 ) -> SatEncoding:
     tags = "SDM" if per_formula_bound else "SDS"
     pkb = prepared(kb)
@@ -435,31 +396,25 @@ def _encode_distance_common(
         for idx, formula in enumerate(pkb)
     ]
     if per_formula_bound:  # SDM7: one bound per formula index
-        b.at_most("SDM7", groups, card_method)
+        b.at_most("SDM7", groups)
     else:  # SDS7: one global bound, formula-major
-        b.at_most("SDS7", [[lit for g in groups for lit in g]], card_method)
+        b.at_most("SDS7", [[lit for g in groups for lit in g]])
     return b.finish(base_size, u)
 
 
-def encode_dmax(
-    kb: KnowledgeBase, u: int | None = None, card_method: str = "sequential"
-) -> SatEncoding:
-    return _encode_distance_common(kb, u, True, card_method)
+def encode_dmax(kb: KnowledgeBase, u: int | None = None) -> SatEncoding:
+    return _encode_distance_common(kb, u, True)
 
 
-def encode_dsum(
-    kb: KnowledgeBase, u: int | None = None, card_method: str = "sequential"
-) -> SatEncoding:
-    return _encode_distance_common(kb, u, False, card_method)
+def encode_dsum(kb: KnowledgeBase, u: int | None = None) -> SatEncoding:
+    return _encode_distance_common(kb, u, False)
 
 
 # ---------------------------------------------------------------------------
 # Hit-distance (drop few formulas)
 
 
-def encode_dhit(
-    kb: KnowledgeBase, u: int | None = None, card_method: str = "sequential"
-) -> SatEncoding:
+def encode_dhit(kb: KnowledgeBase, u: int | None = None) -> SatEncoding:
     pkb = prepared(kb)
     atoms = pkb.signature()
     b = SatEncoding("hit-distance")
@@ -472,7 +427,7 @@ def encode_dhit(
         # Atom leaves clausify to the (atom, x) variables allocated above.
         b.assert_formula("SDH3", Or(formula, Lit(b.varmap.id_of((TAG_HIT, idx)))))
     hit_vars = [b.varmap.id_of((TAG_HIT, idx)) for idx in range(len(pkb))]
-    b.at_most("SDH4", [hit_vars], card_method)
+    b.at_most("SDH4", [hit_vars])
     return b.finish(base_size, u)
 
 
@@ -498,26 +453,21 @@ def expected_base_size(measure: str, kb: KnowledgeBase, bound: int | None = None
     raise ValueError(f"unknown measure {measure!r}")
 
 
-def encode(
-    measure: str,
-    kb: KnowledgeBase,
-    bound: int | None = None,
-    card_method: str = "sequential",
-) -> SatEncoding:
+def encode(measure: str, kb: KnowledgeBase, bound: int | None = None) -> SatEncoding:
     """Build the upper-bound encoding; for hitting-set, `bound` is the value
     and the instance uses `bound + 1` blocks.  Without a bound, the result
     holds the bound-free rules and takes each bound by
     :meth:`SatEncoding.assume`."""
     if measure == "contension":
-        return encode_contension(kb, bound, card_method)
+        return encode_contension(kb, bound)
     if measure == "forgetting":
-        return encode_forgetting(kb, bound, card_method)
+        return encode_forgetting(kb, bound)
     if measure == "hitting-set":
-        return encode_hs(kb, None if bound is None else bound + 1, card_method)
+        return encode_hs(kb, None if bound is None else bound + 1)
     if measure == "max-distance":
-        return encode_dmax(kb, bound, card_method)
+        return encode_dmax(kb, bound)
     if measure == "sum-distance":
-        return encode_dsum(kb, bound, card_method)
+        return encode_dsum(kb, bound)
     if measure == "hit-distance":
-        return encode_dhit(kb, bound, card_method)
+        return encode_dhit(kb, bound)
     raise ValueError(f"unknown measure {measure!r}")

@@ -83,7 +83,6 @@ def search_range(measure: str, kb: KnowledgeBase) -> SearchRange:
 @dataclass(frozen=True)
 class RunConfig:
     backend: BackendConfig = field(default_factory=BackendConfig)
-    card_method: str = "sequential"
     asp_solver: str | None = None
 
     @property
@@ -178,8 +177,7 @@ def _search_session(measure: str, kb: KnowledgeBase, cfg: RunConfig,
     """The session of one binary or linear search, on the KB prepared once."""
     deadline = time.monotonic() + cfg.timeout
     pkb = encodings.prepare_kb(kb)
-    session = _Session(lambda: encodings.encode(measure, pkb, None, cfg.card_method),
-                       cfg.backend, clock, deadline, pkb)
+    session = _Session(lambda: encodings.encode(measure, pkb), cfg.backend, clock, deadline, pkb)
     return session, search_range(measure, pkb)
 
 
@@ -235,37 +233,34 @@ def linear_search(measure: str, kb: KnowledgeBase, cfg: RunConfig | None = None)
 def solve_maxsat(
     inst: MaxSatInstance,
     cfg: BackendConfig | None = None,
-    stats: dict[str, int] | None = None,
+    clock: _PhaseClock | None = None,
 ) -> tuple[int, dict[int, bool]]:
     """Minimize the number of violated soft units.
 
     One session over a copy of the hard clauses (the caller's instance is
     left as is) and a sequential counter over the violation literals: an
     unbounded call, then a bisection on the violation budget in which a
-    model moves the upper end down to its own violation count.  When `stats`
-    is given, the number of SAT calls is recorded under ``"calls"`` and the
-    engine's summed work counts under the names of ``ENGINE_COUNTERS``.
+    model moves the upper end down to its own violation count.  The session
+    records into `clock`, when given: counter growth as encoding, SAT calls
+    as solving, and the calls and engine counters.
     """
     cfg = cfg or BackendConfig()
-    stats = {} if stats is None else stats
-    clock = _PhaseClock()
 
     def build() -> encodings.SatEncoding:
         hard = inst.hard
         enc = encodings.SatEncoding(
             "maxsat", CnfInstance(hard.num_vars, list(hard.clauses), VarMap(hard.num_vars))
         )
-        enc.at_most("soft", [[-lit for lit in inst.soft_units]], "sequential")
+        enc.at_most("soft", [[-lit for lit in inst.soft_units]])
         return enc
 
     def cost(model: dict[int, bool]) -> int:
         return sum(model[abs(lit)] != (lit > 0) for lit in inst.soft_units)
 
-    session = _Session(build, cfg, clock, time.monotonic() + cfg.timeout)
+    session = _Session(build, cfg, clock or _PhaseClock(), time.monotonic() + cfg.timeout)
 
     def probe(bound: int | None) -> bool:
         verdict = session.probe(bound)
-        stats.update(clock.counters, calls=clock.calls)
         if verdict is None:
             raise TimeoutError("MaxSAT search timed out")
         return verdict
@@ -288,30 +283,24 @@ def _compute_maxsat(measure: str, kb: KnowledgeBase, cfg: RunConfig) -> SearchOu
     clock = _PhaseClock()
     if len(kb) == 0:
         return clock.outcome(measure, "maxsat", 0, 0)
+    deadline = time.monotonic() + cfg.timeout
     begin = time.perf_counter()
-    inst = encodings.encode_contension_maxsat(kb, cfg.card_method)
+    inst = encodings.encode_contension_maxsat(kb)
     elapsed = time.perf_counter() - begin
     clock.acc["cnfTransform"] += inst.cnf_transform_seconds
     clock.acc["encoding"] += elapsed - inst.cnf_transform_seconds
-    stats: dict[str, int] = {}
-    begin = time.perf_counter()
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        return clock.outcome(measure, "maxsat", None, 0, "timeout")
     try:
-        cost, _model = solve_maxsat(
-            MaxSatInstance(inst.hard, inst.soft_units),
-            cfg.backend,
-            stats=stats,
-        )
+        cost, _model = solve_maxsat(inst, replace(cfg.backend, timeout=remaining), clock)
     except HardClausesUnsatisfiableError as exc:
         raise MeasureUndefinedError(
             "contension hard clauses unsatisfiable; a formula constant-folds to -"
         ) from exc
     except TimeoutError:
-        clock.acc["solving"] += time.perf_counter() - begin
-        clock.counters.update((k, stats.get(k, 0)) for k in ENGINE_COUNTERS)
-        return clock.outcome(measure, "maxsat", None, stats.get("calls", 0), "timeout")
-    clock.acc["solving"] += time.perf_counter() - begin
-    clock.counters.update((k, stats[k]) for k in ENGINE_COUNTERS)
-    return clock.outcome(measure, "maxsat", cost, stats.get("calls", 1))
+        return clock.outcome(measure, "maxsat", None, clock.calls, "timeout")
+    return clock.outcome(measure, "maxsat", cost, clock.calls)
 
 
 def _compute_naive(measure: str, kb: KnowledgeBase, cfg: RunConfig) -> SearchOutcome:
@@ -328,11 +317,15 @@ def _compute_asp(measure: str, kb: KnowledgeBase, cfg: RunConfig) -> SearchOutco
     clock = _PhaseClock()
     if len(kb) == 0:
         return clock.outcome(measure, "asp", 0, 0)
+    deadline = time.monotonic() + cfg.timeout
     begin = time.perf_counter()
     program = asp_mod.emit_asp(measure, kb)
     clock.acc["encoding"] += time.perf_counter() - begin
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        return clock.outcome(measure, "asp", None, 0, "timeout")
     begin = time.perf_counter()
-    report = asp_mod.solve_asp(program, solver_path=cfg.asp_solver, timeout=cfg.timeout)
+    report = asp_mod.solve_asp(program, solver_path=cfg.asp_solver, timeout=remaining)
     clock.acc["solving"] += time.perf_counter() - begin
     if report.status == "timeout":
         return clock.outcome(measure, "asp", None, 1, "timeout")

@@ -37,7 +37,6 @@ class SolveStatus(Enum):
 class SolverResult:
     status: SolveStatus
     model: dict[int, bool] | None = None
-    elapsed: float = 0.0
     # UNSAT whatever the assumptions: the clauses alone have no model
     refuted: bool = False
     # the internal engine's work in this call (0 from an external solver)
@@ -55,7 +54,6 @@ class SolverResult:
 class BackendConfig:
     kind: str = "internal"  # "internal" | "external"
     solver_path: str | None = None
-    solver_args: tuple[str, ...] = ()
     timeout: float = 600.0
 
     def __post_init__(self) -> None:
@@ -379,11 +377,10 @@ class _Cdcl:
 
     def solve(self, assumptions: Sequence[int] = ()) -> SolverResult:
         self.decisions = self.propagations = self.conflicts = self.restarts = 0
-        start = time.monotonic()
         try:
             result = self._search(assumptions)
         except _DeadlineReached:
-            result = SolverResult(SolveStatus.TIMEOUT, elapsed=time.monotonic() - start)
+            result = SolverResult(SolveStatus.TIMEOUT)
         finally:
             self._backtrack(0)
         result.decisions, result.propagations = self.decisions, self.propagations
@@ -473,11 +470,10 @@ def solve_internal(
         cnf.engine = _Cdcl()
     engine = cnf.engine
     engine.deadline = deadline
-    start = time.monotonic()
     try:
         engine.load(cnf)
     except _DeadlineReached:
-        return SolverResult(SolveStatus.TIMEOUT, elapsed=time.monotonic() - start)
+        return SolverResult(SolveStatus.TIMEOUT)
     result = engine.solve(assumptions)
     if result.status is SolveStatus.SAT:
         assert result.model is not None
@@ -528,6 +524,8 @@ class MaxSatInstance:
 
     hard: CnfInstance
     soft_units: list[int]
+    # time spent clausifying the hard rules that embed KB formulas
+    cnf_transform_seconds: float = 0.0
 
 
 def emit_wcnf(hard: CnfInstance, soft_units: Sequence[int]) -> str:
@@ -590,7 +588,6 @@ def solve_external(
     """Run the configured DIMACS solver on `cnf` plus one unit clause per
     assumption."""
     path = _external_solver_path(cfg)
-    start = time.monotonic()
     units = [[lit] for lit in assumptions]
     with tempfile.NamedTemporaryFile(
         "w", suffix=".cnf", prefix="incmeter_", delete=False
@@ -600,13 +597,13 @@ def solve_external(
     try:
         try:
             proc = subprocess.run(
-                [path, *cfg.solver_args, cnf_path],
+                [path, cnf_path],
                 capture_output=True,
                 text=True,
                 timeout=cfg.timeout,
             )
         except subprocess.TimeoutExpired:
-            return SolverResult(SolveStatus.TIMEOUT, elapsed=time.monotonic() - start)
+            return SolverResult(SolveStatus.TIMEOUT)
         except OSError as exc:
             raise BackendUnavailableError(f"failed to run {path!r}: {exc}") from exc
         try:
@@ -623,7 +620,6 @@ def solve_external(
             assert result.model is not None
             _verify_model(cnf, result.model, assumptions)
         result.refuted = result.status is SolveStatus.UNSAT and not units
-        result.elapsed = time.monotonic() - start
         return result
     finally:
         os.unlink(cnf_path)

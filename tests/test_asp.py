@@ -238,6 +238,26 @@ def test_solve_asp_env_variable(fake_asp_solver, k4, monkeypatch):
     assert report.status == "optimal"
 
 
+def test_asp_time_limit_includes_emission(fake_asp_solver, k4, monkeypatch):
+    """A program emitted slower than the whole limit ends the run on the
+    limit without starting the solver."""
+    import time
+
+    from incmeter import asp
+    from incmeter.search import RunConfig, compute
+    from incmeter.solver import BackendConfig
+
+    runs = []
+    monkeypatch.setattr(asp, "emit_asp", lambda *args: time.sleep(0.5) or emit_asp(*args))
+    monkeypatch.setattr(
+        asp, "solve_asp", lambda *args, **kw: runs.append(kw) or solve_asp(*args, **kw)
+    )
+    cfg = RunConfig(backend=BackendConfig(timeout=0.3), asp_solver=fake_asp_solver)
+    out = compute("contension", k4, "asp", cfg)
+    assert out.status == "timeout" and out.value is None
+    assert out.solver_calls == 0 and runs == []
+
+
 # --- full pipeline against a real solver (skipped without one) -----------------
 
 needs_backend = pytest.mark.skipif(

@@ -1,10 +1,13 @@
 """Command-line surface: outputs, files, exit codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from incmeter.cli import main
+from incmeter.cli import _build_parser, main
 from incmeter.solver import parse_dimacs, solve_internal, SolveStatus
 
 
@@ -137,6 +140,30 @@ def test_generate_then_bench(tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert run_cli(capsys, "measure")[0] == 1
     assert run_cli(capsys, "unknown-command")[0] == 1
+
+
+@pytest.mark.parametrize("command", ["measure", "encode", "bench"])
+def test_card_is_an_unknown_argument(kb_file, tmp_path, capsys, command):
+    path = kb_file("k4.kb", "x&&y\n!y\n")
+    extra = {"measure": ["--measure", "contension"],
+             "encode": ["--measure", "contension", "-u", "1"],
+             "bench": ["--out", str(tmp_path / "reports")]}[command]
+    code, _, err = run_cli(capsys, command, path, *extra, "--card", "sequential")
+    assert code == 1
+    assert "unrecognized arguments: --card" in err
+
+
+def test_readme_commands_parse():
+    """Every incmeter command in the README's shell blocks names only
+    options the parser knows."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("incmeter ")]
+    assert len(commands) >= 8
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 def test_missing_file_exit_code(capsys):

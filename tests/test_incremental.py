@@ -22,10 +22,9 @@ from incmeter.encodings import (
 )
 from incmeter.kb import atoms_of, parse_kb
 from incmeter.oracles import MeasureUndefinedError, oracle_value
-from incmeter.search import RunConfig, binary_search, linear_search
+from incmeter.search import binary_search, linear_search
 from incmeter.solver import (
     BackendConfig,
-    MaxSatInstance,
     SolveStatus,
     _Cdcl,
     solve,
@@ -138,12 +137,11 @@ def test_growing_counter_bounds_by_assumption(n):
 def test_bound_free_encoding_takes_bounds_by_assumption(k7):
     for measure in MEASURES:
         rng = search.search_range(measure, k7)
-        for card in ("sequential", "binomial"):
-            enc = encode(measure, k7, None, card)
-            for u in reversed(range(rng.min, rng.max + 1)):
-                assumptions = enc.assume(u)
-                want = solve(encode(measure, k7, u, card).cnf).is_sat
-                assert solve(enc.cnf, None, assumptions).is_sat == want, (measure, card, u)
+        enc = encode(measure, k7)
+        for u in reversed(range(rng.min, rng.max + 1)):
+            assumptions = enc.assume(u)
+            want = solve(encode(measure, k7, u).cnf).is_sat
+            assert solve(enc.cnf, None, assumptions).is_sat == want, (measure, u)
         with pytest.raises(ValueError):
             encode(measure, k7, rng.min).assume(rng.min)
 
@@ -192,7 +190,7 @@ def test_search_prepares_the_kb_once(monkeypatch, k7):
 def test_maxsat_leaves_the_instance_alone(k7):
     inst = encode_contension_maxsat(k7)
     clauses = [list(c) for c in inst.hard.clauses]
-    cost, model = solve_maxsat(MaxSatInstance(inst.hard, inst.soft_units))
+    cost, model = solve_maxsat(inst)
     assert cost == 1
     assert inst.hard.clauses == clauses
     assert set(model) == set(range(1, inst.hard.num_vars + 1))
@@ -208,18 +206,6 @@ def test_external_backend_takes_assumptions_as_units(fake_solver):
         if ext.is_sat:
             assert all(ext.model[abs(a)] == (a > 0) for a in assumptions)
     assert solve(CnfInstance(1, [[1], [-1]]), cfg).refuted
-
-
-def test_search_values_with_binomial_sessions():
-    cfg = RunConfig(card_method="binomial")
-    for kb_id, kb in generate_corpus(SrsParams(3, 1, 5, seed=97), 6):
-        for measure in MEASURES:
-            try:
-                want = binary_search(measure, kb).value
-            except MeasureUndefinedError:
-                continue
-            assert binary_search(measure, kb, cfg).value == want, (kb_id, measure)
-            assert linear_search(measure, kb, cfg).value == want, (kb_id, measure)
 
 
 def test_deadline_holds_while_clauses_load():
@@ -256,18 +242,17 @@ def test_engine_resumes_propagation_cut_by_the_deadline():
     assert res.status is SolveStatus.UNSAT and res.refuted
 
 
-@pytest.mark.parametrize("card", ["sequential", "binomial"])
 @pytest.mark.parametrize("measure", MEASURES)
-def test_one_shot_encoding_is_the_session_plus_units(k7, measure, card):
+def test_one_shot_encoding_is_the_session_plus_units(k7, measure):
     """encode(m, kb, u) is encode(m, kb) grown by assume(u), plus one unit
     clause per literal assumed."""
     kbs = [k7] + [kb for _, kb in generate_corpus(SrsParams(3, 1, 5, seed=97), 6)]
     for kb in kbs:
         rng = search.search_range(measure, kb)
         for u in range(rng.min, rng.max + 1):
-            session = encode(measure, kb, None, card)
+            session = encode(measure, kb)
             lits = session.assume(u)
-            one_shot = encode(measure, kb, u, card)
+            one_shot = encode(measure, kb, u)
             assert one_shot.cnf.clauses == session.cnf.clauses + [[lit] for lit in lits], u
             assert one_shot.cnf.num_vars == session.cnf.num_vars, u
 
@@ -275,7 +260,6 @@ def test_one_shot_encoding_is_the_session_plus_units(k7, measure, card):
 # --- distance counters over the atoms each formula mentions -----------------
 
 DISTANCES = ("max-distance", "sum-distance")
-CARDS = ("sequential", "binomial")
 # Each formula mentions few of the seven atoms; "d || +" folds to +.
 SPARSE = parse_kb("a && b\n!a && !b && c\nd || +\n!c\ne && !f\nf || g\n!g")
 
@@ -300,11 +284,10 @@ def _counted(measure, kb):
     return max(sizes) if measure == "max-distance" else sum(sizes)
 
 
-@pytest.mark.parametrize("card", CARDS)
 @pytest.mark.parametrize("measure", DISTANCES)
-def test_distance_counters_take_only_mentioned_atoms(k7, measure, card):
+def test_distance_counters_take_only_mentioned_atoms(k7, measure):
     for kb in (k7, SPARSE):
-        enc = encode(measure, kb, None, card)
+        enc = encode(measure, kb)
         invs = _mentioned_invs(enc, kb)
         assert [-lit for lit in enc.assume(0)] == invs
         tag = "SDM7" if measure == "max-distance" else "SDS7"
@@ -317,38 +300,34 @@ def test_distance_counters_take_only_mentioned_atoms(k7, measure, card):
             for lit in clause
         }
         aux = {v for v in used if enc.varmap.name_of(v)[0] == "aux"}
-        assert used - aux <= set(invs), (measure, card)
+        assert used - aux <= set(invs), measure
     assert len(invs) == 11  # of SPARSE's 49 inv variables
 
 
-@pytest.mark.parametrize("card", CARDS)
 @pytest.mark.parametrize("measure", DISTANCES)
-def test_distance_bound_past_the_counted_atoms_adds_nothing(k7, measure, card):
+def test_distance_bound_past_the_counted_atoms_adds_nothing(k7, measure):
     for kb in (k7, SPARSE):
-        enc = encode(measure, kb, None, card)
+        enc = encode(measure, kb)
         size = (len(enc.cnf.clauses), enc.cnf.num_vars)
         count = _counted(measure, kb)
         for u in (count, count + 1, search.search_range(measure, kb).max):
-            assert enc.assume(u) == [], (measure, card, u)
+            assert enc.assume(u) == [], (measure, u)
             assert (len(enc.cnf.clauses), enc.cnf.num_vars) == size
 
 
-@pytest.mark.parametrize("card", CARDS)
 @pytest.mark.parametrize("measure", DISTANCES)
-def test_distance_values_on_sparse_kbs_match_the_oracle(measure, card):
-    cfg = RunConfig(card_method=card)
+def test_distance_values_on_sparse_kbs_match_the_oracle(measure):
     for kb in _sparse_kbs():
         want = oracle_value(kb, measure)
-        assert binary_search(measure, kb, cfg).value == want, kb
-        assert linear_search(measure, kb, cfg).value == want, kb
+        assert binary_search(measure, kb).value == want, kb
+        assert linear_search(measure, kb).value == want, kb
 
 
 def test_distance_base_sizes_hold_on_sparse_kbs(k7):
     for kb in [k7, *_sparse_kbs()]:
         for measure in DISTANCES:
-            for card in CARDS:
-                enc = encode(measure, kb, None, card)
-                assert enc.base_signature_size == expected_base_size(measure, kb)
+            enc = encode(measure, kb)
+            assert enc.base_signature_size == expected_base_size(measure, kb)
 
 
 def test_finished_searches_leave_no_instance_for_the_cyclic_collector(k7):
@@ -492,24 +471,21 @@ def _forgetting_kbs(k7):
     return [k7, *(kb for _, kb in corpus), parse_kb("x && !x\n(x || y) && !y\n+ || z")]
 
 
-@pytest.mark.parametrize("card", CARDS)
-def test_forgetting_counter_takes_one_literal_per_occurrence(k7, card):
+def test_forgetting_counter_takes_one_literal_per_occurrence(k7):
     for kb in _forgetting_kbs(k7):
         occurrences = len(prepare_kb(kb).occurrences())
-        enc = encode("forgetting", kb, None, card)
+        enc = encode("forgetting", kb)
         assert enc.base_signature_size == 3 * occurrences == expected_base_size("forgetting", kb)
         lits = enc.assume(0)
         assert len(set(lits)) == len(lits) == occurrences
         assert all(enc.varmap.name_of(-lit)[0] == "aux" for lit in lits)
 
 
-@pytest.mark.parametrize("card", CARDS)
-def test_forgetting_values_match_the_oracle(k7, card):
-    cfg = RunConfig(card_method=card)
+def test_forgetting_values_match_the_oracle(k7):
     values = set()
     for kb in _forgetting_kbs(k7):
         want = oracle_value(kb, "forgetting")
         values.add(want)
-        assert binary_search("forgetting", kb, cfg).value == want, kb
-        assert linear_search("forgetting", kb, cfg).value == want, kb
+        assert binary_search("forgetting", kb).value == want, kb
+        assert linear_search("forgetting", kb).value == want, kb
     assert len(values) > 2

@@ -187,6 +187,28 @@ def test_timed_out_maxsat_call_is_counted(k7, sleepy_solver):
     assert out.solver_calls == 1
 
 
+@pytest.mark.parametrize("method", ["sat-binary", "sat-linear", "maxsat"])
+def test_time_limit_includes_encoding(k7, monkeypatch, method):
+    """An encoder slower than the whole limit ends the run on the limit, with
+    no SAT call, whichever SAT pipeline it belongs to."""
+    import time
+
+    from incmeter import encodings
+
+    for name in ("encode", "encode_contension_maxsat"):
+        original = getattr(encodings, name)
+
+        def slow(*args, original=original):
+            time.sleep(0.5)
+            return original(*args)
+
+        monkeypatch.setattr(encodings, name, slow)
+    out = compute("contension", k7, method, RunConfig(backend=BackendConfig(timeout=0.3)))
+    assert out.status == "timeout" and out.value is None
+    assert out.solver_calls == 0
+    assert out.total_seconds < 0.5 + 0.25
+
+
 def test_maxsat_values_and_calls_are_pinned():
     """(value, SAT calls) of the MaxSAT search per KB of the sat-mix
     benchmark corpus, as its bisection with model-guided upper ends makes

@@ -270,14 +270,16 @@ def test_maxsat_contension_examples(k4, k7):
 
     for kb, want in ((k4, 1), (k7, 1), (parse_kb("x\ny"), 0)):
         inst = encode_contension_maxsat(kb)
-        cost, _ = solve_maxsat(MaxSatInstance(inst.hard, inst.soft_units))
+        cost, _ = solve_maxsat(inst)
         assert cost == want
 
 
 def test_maxsat_call_count_recorded(k4):
     from incmeter.encodings import encode_contension_maxsat
+    from incmeter.search import _PhaseClock
 
-    inst = encode_contension_maxsat(k4)
-    stats = {}
-    solve_maxsat(MaxSatInstance(inst.hard, inst.soft_units), stats=stats)
-    assert stats["calls"] >= 1
+    clock = _PhaseClock()
+    solve_maxsat(encode_contension_maxsat(k4), clock=clock)
+    assert clock.calls >= 1
+    assert clock.counters["propagations"] > 0
+    assert clock.acc["solving"] > 0
