@@ -20,13 +20,13 @@ import json
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .kb import And, Atom, Formula, KnowledgeBase, Not, Or
 from .oracles import CapExceededError, MeasureUndefinedError
-from .search import PHASES, RunConfig, SearchOutcome, compute
+from .search import ENGINE_COUNTERS, PHASES, RunConfig, SearchOutcome, compute
 from .solver import BackendConfig, BackendUnavailableError, SolverOutputError
 from .values import Value, format_value
 
@@ -139,6 +139,10 @@ class BenchRecord:
     # run or understood); left empty, it is "ok" or, without a value, "timeout"
     status: str = ""
     bounds: tuple[int, int] | None = None  # remaining search range on timeout
+    # the internal engine's work summed over the cell's SAT calls; 0 without
+    # an outcome ("cap", "undefined", "backend-error")
+    engine_counters: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(ENGINE_COUNTERS, 0))
 
     def __post_init__(self) -> None:
         if not self.status:
@@ -172,6 +176,7 @@ def _record(kb_id: str, outcome: SearchOutcome, timeout: float) -> BenchRecord:
         outcome.solver_calls,
         "timeout" if timed_out else "ok",
         outcome.bounds if timed_out else None,
+        dict(outcome.engine_counters),
     )
 
 
@@ -261,6 +266,7 @@ def emit_reports(
         results,
         ["kb_id", "measure", "method", "status", "value", "total_seconds", "solver_calls"]
         + [f"{phase}_seconds" for phase in PHASES]
+        + list(ENGINE_COUNTERS)
         + ["bounds_lo", "bounds_hi"],
         [
             [
@@ -273,6 +279,7 @@ def emit_reports(
                 rec.solver_calls,
             ]
             + [f"{rec.phase_times.get(phase, 0.0):.6f}" for phase in PHASES]
+            + [rec.engine_counters[name] for name in ENGINE_COUNTERS]
             + list(rec.bounds or ("", ""))
             for rec in records
         ],

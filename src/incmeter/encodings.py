@@ -320,7 +320,15 @@ def encode_hs(kb: KnowledgeBase, blocks: int | None = None) -> SatEncoding:
 
     Without a block count the instance starts empty; :meth:`SatEncoding.assume`
     takes the value bound u, adds blocks up to u + 1 and puts that bound's
-    SH4 clauses behind a fresh switch literal to assume."""
+    SH4 clauses behind a fresh switch literal to assume.
+
+    A block's SH3 clauses are the first block's with every variable id
+    shifted: each block allocates its SH1 copies, its SH2 memberships and
+    then its Tseitin auxiliaries, all in one run of ids, and no SH3 clause
+    mentions a variable outside its block.  So SH3 is clausified once, for
+    the first block built, and every block (the first at offset 0) appends
+    those clauses shifted to its own first id.  SH4 reads each formula's
+    membership variables from a list kept per formula."""
     if len(kb) == 0:
         raise ValueError("hitting-set encoding requires a non-empty KB")
     if blocks is not None and not 1 <= blocks <= len(kb):
@@ -328,16 +336,32 @@ def encode_hs(kb: KnowledgeBase, blocks: int | None = None) -> SatEncoding:
     pkb = prepared(kb)
     atoms = pkb.signature()
     b = SatEncoding("hitting-set")
+    member: list[list[int]] = [[] for _ in pkb]  # SH2 variables by formula, block-major
+    # SH3 of the first block built, its first variable id and its width in ids
+    template: list[list[int]] = []
+    first_id = width = 0
 
     def add_block(enc: SatEncoding, i: int) -> None:
+        nonlocal first_id, width
         vm = enc.varmap
+        start = len(vm) + 1
         for x in atoms:  # SH1
             vm.var((TAG_COPY, x, i))
         for idx in range(len(pkb)):  # SH2
-            vm.var((TAG_BLOCK, idx, i))
-        for idx, formula in enumerate(pkb):  # SH3
-            copy = substitute_atoms(formula, lambda x: Lit(vm.id_of((TAG_COPY, x, i))))
-            enc.assert_formula("SH3", Implies(Lit(vm.id_of((TAG_BLOCK, idx, i))), copy))
+            member[idx].append(vm.var((TAG_BLOCK, idx, i)))
+        if not width:  # SH3, clausified once
+            begin = time.perf_counter()
+            for idx, formula in enumerate(pkb):
+                copy = substitute_atoms(formula, lambda x: Lit(vm.id_of((TAG_COPY, x, i))))
+                tseitin_append(Implies(Lit(member[idx][-1]), copy), vm, template)
+            enc.cnf_transform_seconds += time.perf_counter() - begin
+            first_id, width = start, len(vm) + 1 - start
+        while len(vm) + 1 < start + width:  # the block's Tseitin auxiliaries
+            vm.fresh_aux()
+        shift = start - first_id
+        enc.add_clauses("SH3", [
+            [lit + shift if lit > 0 else lit - shift for lit in clause] for clause in template
+        ])
 
     built = 0
 
@@ -346,11 +370,9 @@ def encode_hs(kb: KnowledgeBase, blocks: int | None = None) -> SatEncoding:
         while built <= u:
             built += 1
             add_block(enc, built)
-        vm = enc.varmap
-        switch = vm.fresh_aux()
+        switch = enc.varmap.fresh_aux()
         enc.add_clauses("SH4", [  # every formula in one of the u + 1 blocks
-            [vm.id_of((TAG_BLOCK, idx, i)) for i in range(1, u + 2)] + [-switch]
-            for idx in range(len(pkb))
+            blocks_of[:u + 1] + [-switch] for blocks_of in member
         ])
         return [switch]
 

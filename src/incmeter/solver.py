@@ -112,7 +112,7 @@ class _Cdcl:
         self.activity = [0.0]
         self.act_inc = 1.0
         # scratch marks, all zero between uses: 1 per variable in _analyze,
-        # the sign of the literal taken (1 or 2) in add_clause
+        # the sign of the literal taken (1 or 2) in load
         self.seen = bytearray(1)
         # Decision order: a lazy heap of (-activity, var) holding every free
         # variable of positive activity (stale keys and assigned variables
@@ -161,48 +161,49 @@ class _Cdcl:
             self.activity += [0.0] * extra
             self.seen += bytes(extra)
             self.in_heap += bytes(extra)
-        clauses, tick, add_clause = cnf.clauses, self._tick, self.add_clause
-        while self.ok and self.loaded < len(clauses):
-            tick()
-            add_clause(clauses[self.loaded])
-            self.loaded += 1
-        self.loaded = len(clauses)
-
-    def add_clause(self, lits: Sequence[int]) -> None:
-        """Add a clause at level 0, simplified against the level-0 facts:
-        repeated and false literals dropped, satisfied or tautological
-        clauses skipped."""
-        assign, seen = self.assign, self.seen
-        clause: list[int] = []
-        skip = False
-        for lit in lits:
-            var, mark = (lit, 1) if lit > 0 else (-lit, 2)
-            if seen[var]:
-                if seen[var] != mark:
-                    skip = True  # tautology
+        # Each clause is simplified against the level-0 facts: repeated and
+        # false literals dropped, satisfied or tautological clauses skipped,
+        # a unit enqueued at level 0, an empty clause refuting the instance.
+        clauses, end = cnf.clauses, len(cnf.clauses)
+        assign, seen, watches = self.assign, self.seen, self.watches
+        deadline, check = self.deadline, self.CHECK_EVERY
+        ticks = self.ticks
+        i = self.loaded if self.ok else end  # a refuted engine takes no more clauses
+        while i < end:
+            ticks += 1
+            if deadline is not None and ticks % check == 0 and time.monotonic() > deadline:
+                self.loaded, self.ticks = i, ticks - 1  # clause i neither loaded nor counted
+                raise _DeadlineReached
+            clause: list[int] = []
+            skip = False
+            for lit in clauses[i]:
+                var, mark = (lit, 1) if lit > 0 else (-lit, 2)
+                if seen[var]:
+                    if seen[var] != mark:
+                        skip = True  # tautology
+                        break
+                    continue
+                val = assign[lit]
+                if val > 0:
+                    skip = True  # satisfied for good
                     break
+                if val == 0:
+                    seen[var] = mark
+                    clause.append(lit)
+            i += 1
+            for lit in clause:
+                seen[lit if lit > 0 else -lit] = 0
+            if skip:
                 continue
-            val = assign[lit]
-            if val > 0:
-                skip = True  # satisfied for good
+            if len(clause) > 1:
+                watches[-clause[0]].append(clause)
+                watches[-clause[1]].append(clause)
+            elif clause:
+                self._enqueue(clause[0], None, 0)
+            else:
+                self.ok = False
                 break
-            if val == 0:
-                seen[var] = mark
-                clause.append(lit)
-        for lit in clause:
-            seen[abs(lit)] = 0
-        if skip:
-            return
-        if len(clause) > 1:
-            self._attach(clause)
-        elif clause:
-            self._enqueue(clause[0], None, 0)
-        else:
-            self.ok = False
-
-    def _attach(self, clause: list[int]) -> None:
-        self.watches[-clause[0]].append(clause)
-        self.watches[-clause[1]].append(clause)
+        self.loaded, self.ticks = end, ticks
 
     def _propagate(self, level: int) -> list[int] | None:
         """Propagate the trail from the queue head; the conflicting clause,
@@ -408,7 +409,8 @@ class _Cdcl:
                 if len(learned) == 1:
                     enqueue(learned[0], None, 0)
                 else:
-                    self._attach(learned)
+                    self.watches[-learned[0]].append(learned)
+                    self.watches[-learned[1]].append(learned)
                     enqueue(learned[0], learned, level)
                 self.act_inc *= 1.05
                 conflicts_until_restart -= 1

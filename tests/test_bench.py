@@ -18,7 +18,7 @@ from incmeter.bench import (
     write_corpus,
 )
 from incmeter.kb import Atom, KnowledgeBase, parse_kb
-from incmeter.search import RunConfig
+from incmeter.search import ENGINE_COUNTERS, RunConfig, compute
 from incmeter.solver import BackendConfig
 from incmeter.values import MEASURES
 
@@ -193,6 +193,27 @@ def test_timeout_rows_carry_the_remaining_bounds(k7, sleepy_solver, tmp_path):
     assert rows[0][-2:] == ["bounds_lo", "bounds_hi"]
     by_row = {row[2]: row[-2:] for row in rows[1:]}
     assert by_row == {"sat-binary": ["0", "3"], "naive": ["", ""]}
+
+
+def test_result_rows_carry_the_engine_counters(k7, tmp_path):
+    """The engine counter columns are the outcome's sums over the cell's SAT
+    calls; a cell without an outcome writes 0."""
+    over_cap = parse_kb("\n".join(f"x{i} && !x{(i + 1) % 10}" for i in range(10)))
+    records = run_matrix(
+        [("k7", k7), ("cap10", over_cap)], ["contension", "hitting-set"],
+        ["sat-binary", "maxsat", "naive"], 60,
+    )
+    emit_reports(records, tmp_path, timeout_seconds=60)
+    rows = _read(tmp_path / "results.csv")
+    columns = rows[0].index("decisions")
+    assert rows[0][columns:] == [*ENGINE_COUNTERS, "bounds_lo", "bounds_hi"]
+    by_cell = {tuple(row[:3]): [int(x) for x in row[columns:-2]] for row in rows[1:]}
+    for method in ("sat-binary", "maxsat"):
+        counters = compute("contension", k7, method).engine_counters
+        assert counters["propagations"] > 0
+        assert by_cell[("k7", "contension", method)] == [counters[n] for n in ENGINE_COUNTERS]
+    cap = next(row for row in rows if row[:4] == ["cap10", "hitting-set", "naive", "cap"])
+    assert [int(x) for x in cap[columns:-2]] == [0] * len(ENGINE_COUNTERS)
 
 
 def _read(path):

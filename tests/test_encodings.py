@@ -1,9 +1,12 @@
 """Upper-bound SAT encodings: worked examples, sizes, theorem conformance."""
 
+import random
+
 import pytest
 
+from incmeter import encodings
 from incmeter.bench import SrsParams, generate_corpus
-from incmeter.cnf import TAG_TRI
+from incmeter.cnf import TAG_BLOCK, TAG_COPY, TAG_TRI, Lit
 from incmeter.encodings import (
     encode,
     encode_contension,
@@ -16,7 +19,7 @@ from incmeter.encodings import (
     expected_base_size,
     prepare_kb,
 )
-from incmeter.kb import parse_kb
+from incmeter.kb import Implies, parse_kb, substitute_atoms
 from incmeter.oracles import oracle_value
 from incmeter.search import search_range
 from incmeter.solver import SolveStatus, solve_internal
@@ -246,3 +249,91 @@ def test_constant_false_member_distances():
         assert not sat(encode_hs(kb, min(u + 1, 2)))
     assert oracle_value(kb, "max-distance") == INF
     assert sat(encode_dhit(kb, 1))
+
+
+# --- hitting-set blocks from one clausified template -------------------------
+
+def _reference_hs(kb, blocks=None):
+    """The hitting-set encoding with every block clausified on its own: SH1
+    copies, SH2 memberships and SH3 Tseitin-converted per block, SH4 looked
+    up by name.  The encoder must build exactly this instance."""
+    pkb = encodings.prepared(kb)
+    atoms = pkb.signature()
+    b = encodings.SatEncoding("hitting-set")
+
+    def add_block(enc, i):
+        vm = enc.varmap
+        for x in atoms:
+            vm.var((TAG_COPY, x, i))
+        for idx in range(len(pkb)):
+            vm.var((TAG_BLOCK, idx, i))
+        for idx, formula in enumerate(pkb):
+            copy = substitute_atoms(formula, lambda x: Lit(vm.id_of((TAG_COPY, x, i))))
+            enc.assert_formula("SH3", Implies(Lit(vm.id_of((TAG_BLOCK, idx, i))), copy))
+
+    built = 0
+
+    def assume(enc, u):
+        nonlocal built
+        while built <= u:
+            built += 1
+            add_block(enc, built)
+        vm = enc.varmap
+        switch = vm.fresh_aux()
+        enc.add_clauses("SH4", [
+            [vm.id_of((TAG_BLOCK, idx, i)) for i in range(1, u + 2)] + [-switch]
+            for idx in range(len(pkb))
+        ])
+        return [switch]
+
+    b._bound_rule = ("SH4", assume)
+    return b.finish(0, None if blocks is None else blocks - 1)
+
+
+def _instance(enc):
+    return enc.cnf.num_vars, enc.cnf.clauses, enc.rule_spans, enc.base_signature_size
+
+
+def _hs_corpus(k4, k5, k6, k7):
+    kbs = [k4, k5, k6, k7, parse_kb("+\nx || +\n!x\nx"), parse_kb("x\n- && y")]
+    for atoms, lo, hi, seed in ((3, 1, 7, 61), (6, 8, 14, 7), (9, 12, 18, 11)):
+        kbs += [kb for _, kb in generate_corpus(SrsParams(atoms, lo, hi, seed=seed), 4)]
+    return kbs
+
+
+def test_hs_blocks_match_the_per_block_clausification(k4, k5, k6, k7):
+    """The one-shot instance at every block count, and sessions grown in
+    shuffled bound orders, equal the per-block reference: the same ids, the
+    same clauses in the same order, the same rule spans and base sizes."""
+    rng = random.Random(5)
+    for kb in _hs_corpus(k4, k5, k6, k7):
+        n = len(kb)
+        for blocks in range(1, n + 1):
+            assert _instance(encode_hs(kb, blocks)) == _instance(_reference_hs(kb, blocks))
+        for _ in range(3):
+            session, reference = encode_hs(kb), _reference_hs(kb)
+            for u in rng.sample(range(n), n):
+                assert session.assume(u) == reference.assume(u)
+                assert _instance(session) == _instance(reference), u
+
+
+def test_hs_session_clausifies_each_formula_once(k7, monkeypatch):
+    """However many blocks an encoding builds, Tseitin runs once per formula."""
+    calls = []
+    original = encodings.tseitin_append
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(encodings, "tseitin_append", counted)
+    larger = generate_corpus(SrsParams(6, 8, 14, seed=7), 1)[0][1]
+    for kb in (k7, larger):
+        calls.clear()
+        session = encode_hs(kb)
+        for u in range(len(kb)):
+            session.assume(u)
+        assert len(calls) == len(kb)
+        calls.clear()
+        encode_hs(kb, len(kb))
+        assert len(calls) == len(kb)

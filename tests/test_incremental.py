@@ -27,6 +27,7 @@ from incmeter.solver import (
     BackendConfig,
     SolveStatus,
     _Cdcl,
+    _DeadlineReached,
     solve,
     solve_internal,
 )
@@ -414,6 +415,42 @@ def test_add_clause_simplifies_against_level_zero(facts, raw, assumptions):
     units = [[a] for a in assumptions]
     fresh = solve_internal(CnfInstance(N_VARS, [[lit] for lit in fixed] + kept + units))
     assert got.status is fresh.status
+
+
+def test_load_cut_by_the_deadline_resumes_at_the_first_unloaded_clause():
+    """A load that the deadline cuts leaves the engine as if it had loaded
+    the clauses before the cut and no other: loading the rest later gives
+    the trail, watch lists and ticks of one uncut load."""
+    rng = random.Random(17)
+    n = 3000
+    clauses = []
+    for _ in range(3 * _Cdcl.CHECK_EVERY):
+        width = 1 if rng.random() < 0.01 else rng.choice([2, 3, 4])
+        clause = [rng.choice([v, -v]) for v in rng.choices(range(1, n + 1), k=width)]
+        if rng.random() < 0.05:
+            clause += [clause[0], -clause[-1]]  # a repeat and a tautology
+        clauses.append(clause)
+
+    def engine_state(engine):
+        return engine.trail, engine.watches, engine.assign, engine.ticks, engine.loaded, engine.ok
+
+    whole = _Cdcl()
+    whole.load(CnfInstance(n, clauses))
+    assert whole.ok and whole.trail and whole.ticks == len(clauses)
+    cut = _Cdcl()
+    cnf = CnfInstance(n, clauses)
+    cut.deadline = time.monotonic() - 1.0
+    with pytest.raises(_DeadlineReached):
+        cut.load(cnf)
+    assert 0 < cut.loaded < len(clauses) and cut.ticks == cut.loaded
+    assert not any(cut.seen)
+    before = engine_state(cut)
+    with pytest.raises(_DeadlineReached):  # past the deadline, nothing more loads
+        cut.load(cnf)
+    assert engine_state(cut) == before
+    cut.deadline = None
+    cut.load(cnf)
+    assert engine_state(cut) == engine_state(whole)
 
 
 def test_engine_grows_across_loads_and_agrees_with_fresh_solves():
