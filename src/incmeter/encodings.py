@@ -322,13 +322,24 @@ def encode_hs(kb: KnowledgeBase, blocks: int | None = None) -> SatEncoding:
     takes the value bound u, adds blocks up to u + 1 and puts that bound's
     SH4 clauses behind a fresh switch literal to assume.
 
-    A block's SH3 clauses are the first block's with every variable id
+    The blocks are ordered to break their symmetry: formula idx (from 0) may
+    only join blocks 1..idx + 1, so block b fixes the membership of every
+    formula before b - 1 false by an ``SH-order`` unit.  This keeps every
+    value: drop repeated memberships from a cover and number its blocks by
+    their lowest member, and each formula idx sits in a block b <= idx + 1.
+    So block b needs SH3 only for formulas b - 1 onwards, and at bound u the
+    SH4 clause of formula idx lists blocks 1..min(u, idx) + 1 only.  Every
+    block still allocates all its SH1 copies and SH2 memberships, so the base
+    signature is unchanged.
+
+    A block's SH3 clauses are a prefix of block 1's with every variable id
     shifted: each block allocates its SH1 copies, its SH2 memberships and
-    then its Tseitin auxiliaries, all in one run of ids, and no SH3 clause
-    mentions a variable outside its block.  So SH3 is clausified once, for
-    the first block built, and every block (the first at offset 0) appends
-    those clauses shifted to its own first id.  SH4 reads each formula's
-    membership variables from a list kept per formula."""
+    then the Tseitin auxiliaries of its formulas from the last down to b - 1,
+    all in one run of ids, and no SH3 clause mentions a variable outside its
+    block.  So SH3 is clausified once, for block 1 (always built first), and
+    every block (block 1 at offset 0) appends the part for formulas b - 1
+    onwards shifted to its own first id.  SH4 reads each formula's membership
+    variables from a list kept per formula."""
     if len(kb) == 0:
         raise ValueError("hitting-set encoding requires a non-empty KB")
     if blocks is not None and not 1 <= blocks <= len(kb):
@@ -337,30 +348,33 @@ def encode_hs(kb: KnowledgeBase, blocks: int | None = None) -> SatEncoding:
     atoms = pkb.signature()
     b = SatEncoding("hitting-set")
     member: list[list[int]] = [[] for _ in pkb]  # SH2 variables by formula, block-major
-    # SH3 of the first block built, its first variable id and its width in ids
+    # SH3 of block 1, formulas last to first; for each formula idx, the number
+    # of those clauses and the width in ids that formulas idx onwards take
     template: list[list[int]] = []
-    first_id = width = 0
+    clauses_from = [0] * len(pkb)
+    width_from = [0] * len(pkb)
 
     def add_block(enc: SatEncoding, i: int) -> None:
-        nonlocal first_id, width
         vm = enc.varmap
         start = len(vm) + 1
         for x in atoms:  # SH1
             vm.var((TAG_COPY, x, i))
         for idx in range(len(pkb)):  # SH2
             member[idx].append(vm.var((TAG_BLOCK, idx, i)))
-        if not width:  # SH3, clausified once
+        enc.add_clauses("SH-order", [[-member[idx][-1]] for idx in range(i - 1)])
+        if i == 1:  # SH3, clausified once
             begin = time.perf_counter()
-            for idx, formula in enumerate(pkb):
-                copy = substitute_atoms(formula, lambda x: Lit(vm.id_of((TAG_COPY, x, i))))
-                tseitin_append(Implies(Lit(member[idx][-1]), copy), vm, template)
+            for idx, formula in reversed(list(enumerate(pkb))):
+                copy = substitute_atoms(formula, lambda x: Lit(vm.id_of((TAG_COPY, x, 1))))
+                tseitin_append(Implies(Lit(member[idx][0]), copy), vm, template)
+                clauses_from[idx], width_from[idx] = len(template), len(vm) + 1 - start
             enc.cnf_transform_seconds += time.perf_counter() - begin
-            first_id, width = start, len(vm) + 1 - start
-        while len(vm) + 1 < start + width:  # the block's Tseitin auxiliaries
+        while len(vm) + 1 < start + width_from[i - 1]:  # the live Tseitin auxiliaries
             vm.fresh_aux()
-        shift = start - first_id
+        shift = start - 1  # block 1 starts the instance
         enc.add_clauses("SH3", [
-            [lit + shift if lit > 0 else lit - shift for lit in clause] for clause in template
+            [lit + shift if lit > 0 else lit - shift for lit in clause]
+            for clause in template[:clauses_from[i - 1]]
         ])
 
     built = 0
@@ -371,8 +385,8 @@ def encode_hs(kb: KnowledgeBase, blocks: int | None = None) -> SatEncoding:
             built += 1
             add_block(enc, built)
         switch = enc.varmap.fresh_aux()
-        enc.add_clauses("SH4", [  # every formula in one of the u + 1 blocks
-            blocks_of[:u + 1] + [-switch] for blocks_of in member
+        enc.add_clauses("SH4", [  # every formula in one of its first u + 1 blocks
+            blocks_of[:min(u, idx) + 1] + [-switch] for idx, blocks_of in enumerate(member)
         ])
         return [switch]
 
@@ -387,6 +401,19 @@ def encode_hs(kb: KnowledgeBase, blocks: int | None = None) -> SatEncoding:
 def _encode_distance_common(
     kb: KnowledgeBase, u: int | None, per_formula_bound: bool
 ) -> SatEncoding:
+    """Max-distance (one bound per formula) or sum-distance (one bound over
+    all formulas): a chosen world xo, a copy x_i of the signature per formula
+    that satisfies the i-th formula (SDM4/SDS4), and inv(x, i) set wherever
+    x_i differs from xo (SDM5-6/SDS5-6), counted by SDM7/SDS7.
+
+    A pair (x, i) whose atom the i-th formula does not mention gets the units
+    !x_i and !inv(x, i) (``SDM-free``/``SDS-free``) in place of SDM5-6: x_i
+    can always take xo's value without changing the formula's truth, so
+    fixing both false keeps every value, and the engine sets them once at
+    level 0 instead of deciding them on every call.  The copy of such an
+    atom is therefore no part of a witness: read the i-th formula's model
+    on the atoms it mentions only.  Every copy and inv variable is still
+    allocated, so the base signature is unchanged."""
     tags = "SDM" if per_formula_bound else "SDS"
     pkb = prepared(kb)
     atoms = pkb.signature()
@@ -403,19 +430,22 @@ def _encode_distance_common(
         i = idx + 1
         copy = substitute_atoms(formula, lambda x, i=i: Lit(b.varmap.id_of((TAG_COPY, x, i))))
         b.assert_formula(f"{tags}4", copy)
+    mentioned = [atoms_of(formula) for formula in pkb]
     for x in atoms:  # SDM5-SDM6 / SDS5-SDS6: xi != xo implies inv
         xo = b.varmap.id_of((TAG_OPT, x))
         for i in range(1, n + 1):
             xi = b.varmap.id_of((TAG_COPY, x, i))
             inv = b.varmap.id_of((TAG_INV, x, i))
-            b.add_clauses(f"{tags}5", [[-xi, xo, inv]])
-            b.add_clauses(f"{tags}6", [[xi, -xo, inv]])
+            if x in mentioned[i - 1]:
+                b.add_clauses(f"{tags}5", [[-xi, xo, inv]])
+                b.add_clauses(f"{tags}6", [[xi, -xo, inv]])
+            else:  # the i-th formula ignores xi: fix the pair at level 0
+                b.add_clauses(f"{tags}-free", [[-xi], [-inv]])
     # SDM7/SDS7 count inv(x, i) only for the atoms x that the i-th formula
-    # mentions: a copy of any other atom can take xo's value without changing
-    # the formula's truth, so its inv never needs to be true.
+    # mentions: the inv of any other atom is fixed false above.
     groups = [
-        [b.varmap.id_of((TAG_INV, x, idx + 1)) for x in sorted(atoms_of(formula))]
-        for idx, formula in enumerate(pkb)
+        [b.varmap.id_of((TAG_INV, x, i)) for x in sorted(atoms_i)]
+        for i, atoms_i in enumerate(mentioned, 1)
     ]
     if per_formula_bound:  # SDM7: one bound per formula index
         b.at_most("SDM7", groups)

@@ -136,6 +136,7 @@ class _Cdcl:
         self.ticks += 1
         if self.deadline is not None and self.ticks % self.CHECK_EVERY == 0:
             if time.monotonic() > self.deadline:
+                self.ticks -= 1  # the unit cut off is not done
                 raise _DeadlineReached
 
     def _enqueue(self, lit: int, reason: list[int] | None, level: int) -> None:
@@ -217,7 +218,7 @@ class _Cdcl:
         while qhead < len(trail):
             ticks += 1
             if deadline is not None and ticks % check == 0 and time.monotonic() > deadline:
-                self.qhead, self.ticks = qhead, ticks
+                self.qhead, self.ticks = qhead, ticks - 1  # literal qhead not propagated
                 self.propagations += qhead - start
                 raise _DeadlineReached
             lit = trail[qhead]

@@ -19,9 +19,9 @@ from incmeter.encodings import (
     expected_base_size,
     prepare_kb,
 )
-from incmeter.kb import Implies, parse_kb, substitute_atoms
+from incmeter.kb import Bottom, Implies, KnowledgeBase, Top, parse_kb, substitute_atoms
 from incmeter.oracles import oracle_value
-from incmeter.search import search_range
+from incmeter.search import binary_search, linear_search, search_range
 from incmeter.solver import SolveStatus, solve_internal
 from incmeter.values import INF, MEASURES
 
@@ -253,21 +253,27 @@ def test_constant_false_member_distances():
 
 # --- hitting-set blocks from one clausified template -------------------------
 
-def _reference_hs(kb, blocks=None):
+def _reference_hs(kb, blocks=None, ordered=True):
     """The hitting-set encoding with every block clausified on its own: SH1
-    copies, SH2 memberships and SH3 Tseitin-converted per block, SH4 looked
-    up by name.  The encoder must build exactly this instance."""
+    copies and SH2 memberships; SH-order units keeping each formula idx out
+    of blocks past idx + 1; SH3 Tseitin-converted per block for the formulas
+    that may join it, last to first; SH4 over each formula's allowed blocks,
+    looked up by name.  The encoder must build exactly this instance.
+    Unordered, every formula may join every block."""
     pkb = encodings.prepared(kb)
     atoms = pkb.signature()
+    n = len(pkb)
     b = encodings.SatEncoding("hitting-set")
 
     def add_block(enc, i):
         vm = enc.varmap
         for x in atoms:
             vm.var((TAG_COPY, x, i))
-        for idx in range(len(pkb)):
+        for idx in range(n):
             vm.var((TAG_BLOCK, idx, i))
-        for idx, formula in enumerate(pkb):
+        first = i - 1 if ordered else 0
+        enc.add_clauses("SH-order", [[-vm.id_of((TAG_BLOCK, idx, i))] for idx in range(first)])
+        for idx, formula in reversed(list(enumerate(pkb))[first:]):
             copy = substitute_atoms(formula, lambda x: Lit(vm.id_of((TAG_COPY, x, i))))
             enc.assert_formula("SH3", Implies(Lit(vm.id_of((TAG_BLOCK, idx, i))), copy))
 
@@ -281,8 +287,9 @@ def _reference_hs(kb, blocks=None):
         vm = enc.varmap
         switch = vm.fresh_aux()
         enc.add_clauses("SH4", [
-            [vm.id_of((TAG_BLOCK, idx, i)) for i in range(1, u + 2)] + [-switch]
-            for idx in range(len(pkb))
+            [vm.id_of((TAG_BLOCK, idx, i)) for i in range(1, (min(u, idx) if ordered else u) + 2)]
+            + [-switch]
+            for idx in range(n)
         ])
         return [switch]
 
@@ -337,3 +344,41 @@ def test_hs_session_clausifies_each_formula_once(k7, monkeypatch):
         calls.clear()
         encode_hs(kb, len(kb))
         assert len(calls) == len(kb)
+
+
+def _small_hs_kbs():
+    """Seeded KBs within the oracle caps, each also with constant members."""
+    kbs = [parse_kb("+\nx || +\n!x\nx"), parse_kb("x\n- && y"), parse_kb("x\n!x\nx && y\n!y"),
+           parse_kb("x && y\n!x && y\n!y\nx"), parse_kb("x && y\nx && !y\n+\n!x && y\n!x && !y")]
+    for atoms, seed in ((3, 131), (4, 137), (5, 139), (6, 149)):
+        for _, kb in generate_corpus(SrsParams(atoms, 2, 6, seed=seed), 5):
+            kbs += [kb, KnowledgeBase(kb.formulas[:1] + (Top(),) + kb.formulas[1:] + (Bottom(),))]
+    return kbs
+
+
+def test_hs_block_order_keeps_every_block_count_and_value():
+    """The ordered instance is satisfiable at every block count exactly when
+    the unordered one is, and both drivers give the oracle's value."""
+    values = set()
+    for kb in _small_hs_kbs():
+        for blocks in range(1, len(kb) + 1):
+            assert sat(encode_hs(kb, blocks)) == sat(_reference_hs(kb, blocks, ordered=False)), (
+                kb, blocks)
+        want = oracle_value(kb, "hitting-set")
+        values.add(want)
+        assert binary_search("hitting-set", kb).value == want, kb
+        assert linear_search("hitting-set", kb).value == want, kb
+    assert {0, 1, 2, 3, INF} <= values
+
+
+def test_hs_order_fixes_late_memberships_at_level_zero(k7):
+    """The instance has a unit clause keeping formula idx out of each block
+    past idx + 1, and no unit on another membership."""
+    for kb in [k7, *_small_hs_kbs()]:
+        n = len(kb)
+        enc = encode_hs(kb, n)
+        fixed = {clause[0] for clause in enc.cnf.clauses if len(clause) == 1}
+        for idx in range(n):
+            for i in range(1, n + 1):
+                member = enc.varmap.id_of((TAG_BLOCK, idx, i))
+                assert (-member in fixed) == (i > idx + 1) and member not in fixed, (idx, i)

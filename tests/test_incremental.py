@@ -13,7 +13,7 @@ from hypothesis import given
 from incmeter import search
 from incmeter.bench import SrsParams, generate_corpus
 from incmeter.cardinality import CounterAllocator, SequentialCounter
-from incmeter.cnf import TAG_INV, CnfInstance
+from incmeter.cnf import TAG_COPY, TAG_INV, CnfInstance
 from incmeter.encodings import (
     encode,
     encode_contension_maxsat,
@@ -243,6 +243,34 @@ def test_engine_resumes_propagation_cut_by_the_deadline():
     assert res.status is SolveStatus.UNSAT and res.refuted
 
 
+def test_deadline_cuts_do_not_count_the_work_they_cut_off():
+    """On a star that propagates one literal per tick, a solve cut in
+    propagation by a past deadline and then resumed ends at the ticks of an
+    uncut solve; a cut decision leaves the ticks before it."""
+    n = 5000
+    star = [[-1, k] for k in range(2, n + 1)] + [[1]]
+    uncut = CnfInstance(n, list(star))
+    assert solve_internal(uncut).is_sat
+    assert uncut.engine.ticks == 2 * n + 1  # n clauses, n literals, one decision
+    cut = CnfInstance(n, list(star))
+    engine = cut.engine = _Cdcl()
+    engine.load(cut)
+    engine.deadline = time.monotonic() - 1.0
+    assert engine.solve().status is SolveStatus.TIMEOUT
+    assert 0 < engine.qhead < n and engine.ticks % _Cdcl.CHECK_EVERY == _Cdcl.CHECK_EVERY - 1
+    assert solve_internal(cut).is_sat
+    assert engine.ticks == uncut.engine.ticks
+    # Two loaded clauses and one propagated literal put every decision on an
+    # even tick, so the deadline check falls on a decision.
+    free = CnfInstance(n, [[1], [1]])
+    engine = free.engine = _Cdcl()
+    engine.load(free)
+    engine.deadline = time.monotonic() - 1.0
+    assert engine.solve().status is SolveStatus.TIMEOUT
+    assert engine.decisions == _Cdcl.CHECK_EVERY // 2 - 2
+    assert engine.ticks == _Cdcl.CHECK_EVERY - 1
+
+
 @pytest.mark.parametrize("measure", MEASURES)
 def test_one_shot_encoding_is_the_session_plus_units(k7, measure):
     """encode(m, kb, u) is encode(m, kb) grown by assume(u), plus one unit
@@ -322,6 +350,24 @@ def test_distance_values_on_sparse_kbs_match_the_oracle(measure):
         want = oracle_value(kb, measure)
         assert binary_search(measure, kb).value == want, kb
         assert linear_search(measure, kb).value == want, kb
+
+
+@pytest.mark.parametrize("measure", DISTANCES)
+def test_distance_pairs_of_unmentioned_atoms_are_level_zero_units(k7, measure):
+    """The instance has the unit clauses !x_i and !inv(x, i) for each atom x
+    that the i-th formula does not mention, and no unit on another inv."""
+    for kb in [k7, *_sparse_kbs()]:
+        enc = encode(measure, kb)
+        fixed = {clause[0] for clause in enc.cnf.clauses if len(clause) == 1}
+        pkb = prepare_kb(kb)
+        for i, formula in enumerate(pkb, 1):
+            for x in pkb.signature():
+                copy = enc.varmap.id_of((TAG_COPY, x, i))
+                inv = enc.varmap.id_of((TAG_INV, x, i))
+                free = x not in atoms_of(formula)
+                assert (-inv in fixed) == free and inv not in fixed, (x, i)
+                if free:
+                    assert -copy in fixed, (x, i)
 
 
 def test_distance_base_sizes_hold_on_sparse_kbs(k7):
