@@ -11,6 +11,13 @@ Two encodings over a list of solver variables:
   checked against.
 
 Both treat k >= n as the empty constraint and k == 0 as unit negatives.
+
+:class:`SumCounter` bounds a sum of several parts' counts, the measures
+that bound a total over formulas: each part is a sequential counter, and
+the parts' unary counts are merged pairwise up a balanced tree of
+totalizer nodes (Bailleux & Boufkhad, CP 2003) whose outputs grow in place
+to each bound asked for (Martins, Joshi, Manquinho & Lynce, CP 2014).  With
+one part it is exactly that part's sequential counter.
 """
 
 from __future__ import annotations
@@ -83,6 +90,84 @@ class SequentialCounter:
                     clauses.append([-col[i - j - 1], col[i - j]])
             cols.append(col)
         return clauses, -cols[k][-1]
+
+
+class _Leaf:
+    """One part's sequential counter; its unary count is the last row of
+    registers, s[n-1][j] being "at least j+1 of the part are true"."""
+
+    def __init__(self, variables: Sequence[int], alloc: AuxAllocator):
+        self.counter = SequentialCounter(variables, alloc)
+        self.size = len(variables)
+
+    def grow(self, m: int, clauses: list[list[int]]) -> list[int]:
+        """The first min(m, size) unary outputs, building what they still need."""
+        m = min(m, self.size)
+        columns = self.counter.columns
+        if m > len(columns):
+            clauses.extend(self.counter.at_most(m - 1)[0])
+        return [col[-1] for col in columns]
+
+
+class _Merge:
+    """The sum of two subtrees' unary counts: output o_r is forced true by
+    a_i & b_j for every i + j = r (a_0 and b_0 read as true).  Every clause
+    only pushes outputs up, like the sequential counter's."""
+
+    def __init__(self, left: _Leaf | _Merge, right: _Leaf | _Merge, alloc: AuxAllocator):
+        self.left, self.right, self.alloc = left, right, alloc
+        self.size = left.size + right.size
+        self.outputs: list[int] = []
+
+    def grow(self, m: int, clauses: list[list[int]]) -> list[int]:
+        """The first min(m, size) outputs, building what they still need.  A
+        child output above the old count only reaches outputs above it, so
+        the clauses of outputs built before stay complete."""
+        m = min(m, self.size)
+        out = self.outputs
+        if m <= len(out):
+            return out
+        a = self.left.grow(m, clauses)
+        b = self.right.grow(m, clauses)
+        for r in range(len(out) + 1, m + 1):
+            o = self.alloc.fresh_aux()
+            out.append(o)
+            for i in range(max(0, r - len(b)), min(r, len(a)) + 1):
+                j = r - i
+                clauses.append(([-a[i - 1]] if i else []) + ([-b[j - 1]] if j else []) + [o])
+        return out
+
+
+def _tree(nodes: list[_Leaf], alloc: AuxAllocator) -> _Leaf | _Merge:
+    if len(nodes) == 1:
+        return nodes[0]
+    mid = len(nodes) // 2
+    return _Merge(_tree(nodes[:mid], alloc), _tree(nodes[mid:], alloc), alloc)
+
+
+class SumCounter:
+    """At most k of the inputs of all `parts` together, grown to each bound
+    asked for: a sequential counter per non-empty part, merged pairwise up a
+    tree that splits the parts in half by count.  The root's output o_{k+1}
+    holds once more than k inputs are true, so !o_{k+1} bounds the sum.
+    With one part it is that part's :class:`SequentialCounter`: the same
+    ids, clauses and bounding literal."""
+
+    def __init__(self, parts: Sequence[Sequence[int]], alloc: AuxAllocator):
+        leaves = [_Leaf(part, alloc) for part in parts if part]
+        self.size = sum(leaf.size for leaf in leaves)
+        self.root = _tree(leaves, alloc) if leaves else None
+
+    def at_most(self, k: int) -> tuple[list[list[int]], int | None]:
+        """The clauses bound k still needs, and the literal that bounds the
+        sum by k (None when k >= the input count leaves nothing to bound)."""
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        if k >= self.size:
+            return [], None
+        clauses: list[list[int]] = []
+        outputs = self.root.grow(k + 1, clauses)
+        return clauses, -outputs[k]
 
 
 def at_most_sequential(

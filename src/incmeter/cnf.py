@@ -29,7 +29,7 @@ from .kb import (
 TAG_ATOM = "atom"          # (atom, name)               plain propositional atom
 TAG_TRI = "tri"            # (tri, name, "t"|"f"|"b")   three-valued indicator
 TAG_VAL = "val"            # (val, site, "t"|"f"|"b")   per-site valuation
-TAG_OCC = "occ"            # (occ, name, label)         atom occurrence
+TAG_OCC = "occ"            # (occ, name, label)         occurrence's value after forgetting
 TAG_FORGET_TOP = "ftop"    # (ftop, name, label)        occurrence replaced by +
 TAG_FORGET_BOT = "fbot"    # (fbot, name, label)        occurrence replaced by -
 TAG_BLOCK = "block"        # (block, formula_idx, i)    formula membership in block i

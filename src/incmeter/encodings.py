@@ -6,15 +6,19 @@ satisfiable exactly when the measure's value is at most the given bound
 the value is at most ``blocks - 1``).  Called without a bound, it builds only
 the rules every bound shares; a search then probes each bound through
 :meth:`SatEncoding.assume`, which appends what that bound adds (counter
-columns, blocks) and returns literals to assume, so the instance is encoded
+registers, blocks) and returns literals to assume, so the instance is encoded
 once per search and only ever grows.  Called with a bound, it builds the
 same and writes that bound's assumptions as unit clauses.
 
 Construction follows a fixed shape: allocate the base signature, write the
 fixed-shape rules as clauses over it, clausify the rules that embed a KB
-formula with the Tseitin converter, and bound the counted literals with a
-sequential counter per group, grown one register column per probed bound
-(``cardinality.SequentialCounter``).  The resulting :class:`SatEncoding`
+formula with the Tseitin converter, and bound each counted sum with a
+counter grown to each probed bound: a sequential counter when the sum has
+one part (``cardinality.SequentialCounter``), and for the sums over
+formulas (SDS7, SF5) a sequential counter per formula merged up a tree
+(``cardinality.SumCounter``).  Forgetting gives each atom occurrence
+one variable, the value it takes after forgetting, so its formulas embed no
+per-occurrence subformula.  The resulting :class:`SatEncoding`
 records which clause range each rule produced and the size of the base
 signature (auxiliary variables excluded), so structural properties can be
 checked against the per-encoding size formulas.  Every encoder accepts a
@@ -133,16 +137,18 @@ class SatEncoding:
         self.cnf.clauses.extend(clauses)
         self._record(tag, start)
 
-    def at_most(self, tag: str, groups: list[list[int]]) -> None:
-        """At most the bound of each group's literals are true, a bound per
-        :meth:`assume`: at most 0 makes every input false; above 0, a
-        sequential counter per group grows to the bound.  A bound that no
-        group exceeds in size adds nothing and assumes nothing."""
-        counters = [cardinality.SequentialCounter(g, self.varmap) for g in groups]
+    def at_most(self, tag: str, sums: list[list[list[int]]]) -> None:
+        """At most the bound of each sum's literals are true, a bound per
+        :meth:`assume`.  A sum is a list of parts, each a list of literals:
+        at most 0 makes every input false; above 0, a
+        ``cardinality.SumCounter`` per sum grows to the bound (a one-part
+        sum is that part's sequential counter).  A bound that no sum exceeds
+        in size adds nothing and assumes nothing."""
+        counters = [cardinality.SumCounter(parts, self.varmap) for parts in sums]
 
         def assume(enc: SatEncoding, u: int) -> list[int]:
             if u == 0:
-                return [-lit for g in groups for lit in g]
+                return [-lit for parts in sums for part in parts for lit in part]
             lits = []
             for counter in counters:
                 clauses, lit = counter.at_most(u)
@@ -162,13 +168,14 @@ class SatEncoding:
             spans.append((tag, start, end))
 
     def finish(self, base_size: int, bound: int | None = None) -> SatEncoding:
-        """Check the base signature against its size formula; with a bound,
-        make this the one-shot instance of that bound."""
-        assert self.varmap.base_count() == base_size, "base signature drifted"
+        """With a bound, make this the one-shot instance of that bound; then
+        check the base signature, the bound's named variables included,
+        against its size formula."""
         if bound is not None:
             tag = self._bound_rule[0]
             self.add_clauses(tag, [[lit] for lit in self.assume(bound)])
             self._bound_rule = None
+        assert self.varmap.base_count() == base_size, "base signature drifted"
         self.base_signature_size = self.varmap.base_count()
         self.cnf.num_vars = len(self.varmap)
         return self
@@ -247,7 +254,7 @@ def encode_contension(kb: KnowledgeBase, u: int | None = None) -> SatEncoding:
         root = next(site for site, _ in sites if site.formula_index == idx and not site.path)
         b.add_clauses("SC16", [[val(root, "t"), val(root, "b")]])
     b_vars = [tri(x, "b") for x in atoms]
-    b.at_most("SC17", [b_vars])
+    b.at_most("SC17", [[b_vars]])
     return b.finish(base_size, u)
 
 
@@ -260,10 +267,21 @@ def encode_contension_maxsat(kb: KnowledgeBase) -> MaxSatInstance:
 
 
 # ---------------------------------------------------------------------------
-# Forgetting (occurrence substitution switches)
+# Forgetting (occurrence values and switches)
 
 
 def encode_forgetting(kb: KnowledgeBase, u: int | None = None) -> SatEncoding:
+    """Satisfiable iff forgetting at most `u` occurrences makes the KB
+    consistent.  ``(occ, X, l)`` is the value occurrence X^l takes after
+    forgetting, and SF3 asserts each formula with X^l replaced by it.  Each
+    atom X has one auxiliary world variable w_X; SF-world forgets every
+    occurrence whose value differs from w_X, as + (t_{X,l}) if the value is
+    true and as - (f_{X,l}) if false.
+
+    Both directions hold.  A model forgets at most the occurrences whose d
+    SF5 counts, since the value of every other occurrence is w_X's.  A
+    forgetting of at most `u` occurrences with model w extends to a model:
+    set each forgotten occurrence to its constant and each other to w(X)."""
     pkb = prepared(kb)
     occurrences = pkb.occurrences()
     b = SatEncoding("forgetting")
@@ -276,36 +294,31 @@ def encode_forgetting(kb: KnowledgeBase, u: int | None = None) -> SatEncoding:
     def var(tag: str, occ) -> int:
         return b.varmap.id_of((tag, occ.atom, occ.label))
 
-    # SF3: replace each occurrence X^l by (t_{X,l} | X^l) & !f_{X,l}.
-    by_formula: dict[int, list] = {}
+    by_formula: list[list] = [[] for _ in pkb]
     for occ in occurrences:
-        by_formula.setdefault(occ.site.formula_index, []).append(occ)
-    for idx, formula in enumerate(pkb):
-        substituted = formula
-        for occ in by_formula.get(idx, ()):
-            switch = And(
-                Or(Lit(var(TAG_FORGET_TOP, occ)), Lit(var(TAG_OCC, occ))),
-                Not(Lit(var(TAG_FORGET_BOT, occ))),
-            )
-            substituted = replace_at(substituted, occ.site.path, switch)
-        b.assert_formula("SF3", substituted)
-    # Occurrences of one atom that are not forgotten share its truth value.
-    by_atom: dict[str, list] = {}
-    for occ in occurrences:
-        by_atom.setdefault(occ.atom, []).append(occ)
-    for _, occs in sorted(by_atom.items()):
-        for occ in occs[1:]:
-            b.add_clauses("SF-link", _iff(var(TAG_OCC, occs[0]), var(TAG_OCC, occ)))
+        by_formula[occ.site.formula_index].append(occ)
+    for formula, occs in zip(pkb, by_formula):  # SF3
+        for occ in occs:
+            formula = replace_at(formula, occ.site.path, Lit(var(TAG_OCC, occ)))
+        b.assert_formula("SF3", formula)
+    world = {x: b.varmap.fresh_aux() for x in pkb.signature()}
+    for occ in occurrences:  # SF-world: a value off the world is forgotten
+        o, w = var(TAG_OCC, occ), world[occ.atom]
+        b.add_clauses("SF-world", [
+            [-o, w, var(TAG_FORGET_TOP, occ)], [o, -w, var(TAG_FORGET_BOT, occ)],
+        ])
     for occ in occurrences:  # SF4
         b.add_clauses("SF4", [[-var(TAG_FORGET_TOP, occ), -var(TAG_FORGET_BOT, occ)]])
     # SF5 counts forgotten occurrences: d_{X,l} holds when either switch of
     # X^l does, and SF4 makes the two exclusive, so the count is unchanged
-    # while the counter takes |Occ| inputs instead of 2 * |Occ|.
+    # while the counter takes |Occ| inputs instead of 2 * |Occ|; one part
+    # per formula.
     forgotten = []
-    for occ in occurrences:
-        d = b.varmap.fresh_aux()
-        b.add_clauses("SF5", [[-var(TAG_FORGET_TOP, occ), d], [-var(TAG_FORGET_BOT, occ), d]])
-        forgotten.append(d)
+    for occs in by_formula:
+        part = [b.varmap.fresh_aux() for _ in occs]
+        for occ, d in zip(occs, part):
+            b.add_clauses("SF5", [[-var(TAG_FORGET_TOP, occ), d], [-var(TAG_FORGET_BOT, occ), d]])
+        forgotten.append(part)
     b.at_most("SF5", [forgotten])
     return b.finish(base_size, u)
 
@@ -391,7 +404,9 @@ def encode_hs(kb: KnowledgeBase, blocks: int | None = None) -> SatEncoding:
         return [switch]
 
     b._bound_rule = ("SH4", assume)
-    return b.finish(0, None if blocks is None else blocks - 1)
+    if blocks is None:
+        return b.finish(0)
+    return b.finish(blocks * (len(atoms) + len(pkb)), blocks - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +463,9 @@ def _encode_distance_common(
         for i, atoms_i in enumerate(mentioned, 1)
     ]
     if per_formula_bound:  # SDM7: one bound per formula index
-        b.at_most("SDM7", groups)
-    else:  # SDS7: one global bound, formula-major
-        b.at_most("SDS7", [[lit for g in groups for lit in g]])
+        b.at_most("SDM7", [[g] for g in groups])
+    else:  # SDS7: one bound on the sum of the per-formula counts
+        b.at_most("SDS7", [groups])
     return b.finish(base_size, u)
 
 
@@ -479,7 +494,7 @@ def encode_dhit(kb: KnowledgeBase, u: int | None = None) -> SatEncoding:
         # Atom leaves clausify to the (atom, x) variables allocated above.
         b.assert_formula("SDH3", Or(formula, Lit(b.varmap.id_of((TAG_HIT, idx)))))
     hit_vars = [b.varmap.id_of((TAG_HIT, idx)) for idx in range(len(pkb))]
-    b.at_most("SDH4", [hit_vars])
+    b.at_most("SDH4", [[hit_vars]])
     return b.finish(base_size, u)
 
 

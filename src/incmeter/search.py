@@ -251,7 +251,7 @@ def solve_maxsat(
         enc = encodings.SatEncoding(
             "maxsat", CnfInstance(hard.num_vars, list(hard.clauses), VarMap(hard.num_vars))
         )
-        enc.at_most("soft", [[-lit for lit in inst.soft_units]])
+        enc.at_most("soft", [[[-lit for lit in inst.soft_units]]])
         return enc
 
     def cost(model: dict[int, bool]) -> int:

@@ -6,7 +6,7 @@ import pytest
 
 from incmeter import encodings
 from incmeter.bench import SrsParams, generate_corpus
-from incmeter.cnf import TAG_BLOCK, TAG_COPY, TAG_TRI, Lit
+from incmeter.cnf import TAG_BLOCK, TAG_COPY, TAG_OCC, TAG_TRI, Lit
 from incmeter.encodings import (
     encode,
     encode_contension,
@@ -294,7 +294,9 @@ def _reference_hs(kb, blocks=None, ordered=True):
         return [switch]
 
     b._bound_rule = ("SH4", assume)
-    return b.finish(0, None if blocks is None else blocks - 1)
+    if blocks is None:
+        return b.finish(0)
+    return b.finish(expected_base_size("hitting-set", kb, blocks), blocks - 1)
 
 
 def _instance(enc):
@@ -382,3 +384,64 @@ def test_hs_order_fixes_late_memberships_at_level_zero(k7):
             for i in range(1, n + 1):
                 member = enc.varmap.id_of((TAG_BLOCK, idx, i))
                 assert (-member in fixed) == (i > idx + 1) and member not in fixed, (idx, i)
+
+
+def _finish_hs(kb, blocks, extra_name):
+    """The one-shot hitting-set instance with `blocks` blocks, its bound rule
+    naming one more variable when `extra_name` is set."""
+    enc = encode_hs(kb)
+    tag, add_blocks = enc._bound_rule
+
+    def grow(e, u):
+        if extra_name:
+            e.varmap.var(("extra", u))
+        return add_blocks(e, u)
+
+    enc._bound_rule = (tag, grow)
+    return enc.finish(expected_base_size("hitting-set", kb, blocks), blocks - 1)
+
+
+def test_finish_checks_the_base_size_with_the_bound_applied(k4):
+    """The base signature is checked with the bound's blocks built: the
+    formula holds then, and a bound rule that names one variable more than
+    the formula counts fails."""
+    for blocks in range(1, len(k4) + 1):
+        want = expected_base_size("hitting-set", k4, blocks)
+        assert encode_hs(k4, blocks).base_signature_size == want
+        assert _finish_hs(k4, blocks, False).base_signature_size == want
+        with pytest.raises(AssertionError, match="base signature drifted"):
+            _finish_hs(k4, blocks, True)
+
+
+# --- forgetting by occurrence values -----------------------------------------
+
+def _forgetting_suite():
+    """Seeded KBs over three atoms, so atoms repeat across formulas, and KBs
+    with members that fold to a constant (`x || +`, `!y || (x && -)`)."""
+    corpus = generate_corpus(SrsParams(3, 3, 6, seed=89), 12)
+    return [kb for _, kb in corpus] + [
+        parse_kb("x || +\nx && !x\n!y || (x && -)\ny"),
+        parse_kb("+ || z\nz\n!z && (z || y)\n!y"),
+    ]
+
+
+def test_forgetting_by_occurrence_values_matches_the_oracle():
+    """Both drivers give the oracle's value, the base signature keeps its
+    3 |Occ| formula, and SF3 reads every occurrence's value variable."""
+    values = set()
+    for kb in _forgetting_suite():
+        want = oracle_value(kb, "forgetting")
+        values.add(want)
+        assert binary_search("forgetting", kb).value == want, kb
+        assert linear_search("forgetting", kb).value == want, kb
+        enc = encode_forgetting(kb)
+        assert enc.base_signature_size == expected_base_size("forgetting", kb)
+        read = {
+            abs(lit)
+            for tag, start, end in enc.rule_spans if tag == "SF3"
+            for clause in enc.cnf.clauses[start:end]
+            for lit in clause
+        }
+        for occ in prepare_kb(kb).occurrences():
+            assert enc.varmap.id_of((TAG_OCC, occ.atom, occ.label)) in read, (kb, occ)
+    assert len(values) > 2

@@ -12,7 +12,7 @@ from hypothesis import given
 
 from incmeter import search
 from incmeter.bench import SrsParams, generate_corpus
-from incmeter.cardinality import CounterAllocator, SequentialCounter
+from incmeter.cardinality import CounterAllocator, SequentialCounter, SumCounter
 from incmeter.cnf import TAG_COPY, TAG_INV, CnfInstance
 from incmeter.encodings import (
     encode,
@@ -133,6 +133,54 @@ def test_growing_counter_bounds_by_assumption(n):
             assumptions = inputs + ([lit] if lit is not None else [])
             got = solve_internal(cnf, assumptions=assumptions).is_sat
             assert got == (sum(bits) <= k), (n, k, bits)
+
+
+
+def _splits(n):
+    """Every split of the inputs 1..n into consecutive non-empty parts."""
+    for cuts in itertools.product([False, True], repeat=n - 1):
+        parts = [[1]]
+        for v, cut in zip(range(2, n + 1), cuts):
+            if cut:
+                parts.append([])
+            parts[-1].append(v)
+        yield parts
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_summed_counter_bounds_every_split_by_assumption(n):
+    """One summed counter per split of the inputs into parts serves every
+    bound, asked for in a seeded order: under the inputs and the bound
+    literal the instance is satisfiable exactly when the sum is at most k."""
+    variables = list(range(1, n + 1))
+    rng = random.Random(n)
+    for parts in _splits(n):
+        alloc = CounterAllocator(n)
+        counter = SumCounter(parts, alloc)
+        cnf = CnfInstance(n, [])
+        for k in rng.sample(range(n + 1), n + 1):
+            new_clauses, lit = counter.at_most(k)
+            cnf.clauses.extend(new_clauses)
+            cnf.num_vars = alloc.top
+            assert (lit is None) == (k >= n)
+            for bits in itertools.product([False, True], repeat=n):
+                inputs = [v if b else -v for v, b in zip(variables, bits)]
+                assumptions = inputs + ([lit] if lit is not None else [])
+                got = solve_internal(cnf, assumptions=assumptions).is_sat
+                assert got == (sum(bits) <= k), (parts, k, bits)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_part_sum_is_the_sequential_counter(n):
+    """With one non-empty part, a summed counter gives the sequential
+    counter's ids, clauses and literal, bound by bound."""
+    variables = list(range(1, n + 1))
+    seq_alloc, sum_alloc = CounterAllocator(n), CounterAllocator(n)
+    sequential = SequentialCounter(variables, seq_alloc)
+    summed = SumCounter([[], variables, []], sum_alloc)
+    for k in random.Random(n).sample(range(n + 2), n + 2):
+        assert summed.at_most(k) == sequential.at_most(k), k
+        assert sum_alloc.top == seq_alloc.top, k
 
 
 def test_bound_free_encoding_takes_bounds_by_assumption(k7):
