@@ -68,6 +68,11 @@ from .solver import MaxSatInstance
 THREE_VALUES = ("t", "f", "b")
 
 
+class EncodingError(ValueError):
+    """An encoding broke one of its size formulas, or a size formula was
+    asked for without what it depends on."""
+
+
 class PreparedKB(KnowledgeBase):
     """A KB whose formulas :func:`prepare_kb` has already reduced and folded."""
 
@@ -108,6 +113,10 @@ class SatEncoding:
         # rule is handed the encoding, so it holds no reference back to it
         # and a finished encoding is freed without the cyclic collector
         self._bound_rule: tuple[str, Callable[[SatEncoding, int], list[int]]] | None = None
+        # Literals each of which, once the clauses force it false, makes
+        # every bound unsatisfiable (for hitting-set, the memberships each
+        # formula may take): a search is then settled on assuming it.
+        self.settling: list[int] = []
 
     @property
     def varmap(self) -> VarMap:
@@ -175,8 +184,12 @@ class SatEncoding:
             tag = self._bound_rule[0]
             self.add_clauses(tag, [[lit] for lit in self.assume(bound)])
             self._bound_rule = None
-        assert self.varmap.base_count() == base_size, "base signature drifted"
-        self.base_signature_size = self.varmap.base_count()
+        count = self.varmap.base_count()
+        if count != base_size:
+            raise EncodingError(
+                f"base signature drifted: {count} named variables, "
+                f"the size formula gives {base_size}")
+        self.base_signature_size = count
         self.cnf.num_vars = len(self.varmap)
         return self
 
@@ -352,7 +365,15 @@ def encode_hs(kb: KnowledgeBase, blocks: int | None = None) -> SatEncoding:
     block.  So SH3 is clausified once, for block 1 (always built first), and
     every block (block 1 at offset 0) appends the part for formulas b - 1
     onwards shifted to its own first id.  SH4 reads each formula's membership
-    variables from a list kept per formula."""
+    variables from a list kept per formula.
+
+    The memberships each formula may take (block b <= idx + 1) are the
+    encoding's ``settling`` literals.  If formula idx has a model w, the
+    clauses have a model with any one of them true: every SH4 switch false,
+    every other membership false, that block's atom copies w and each Tseitin
+    auxiliary its subformula's value.  So once the clauses force one false,
+    formula idx is unsatisfiable and no block count is.  A membership that
+    ``SH-order`` fixes false says nothing of its formula and is not one."""
     if len(kb) == 0:
         raise ValueError("hitting-set encoding requires a non-empty KB")
     if blocks is not None and not 1 <= blocks <= len(kb):
@@ -375,6 +396,7 @@ def encode_hs(kb: KnowledgeBase, blocks: int | None = None) -> SatEncoding:
         for idx in range(len(pkb)):  # SH2
             member[idx].append(vm.var((TAG_BLOCK, idx, i)))
         enc.add_clauses("SH-order", [[-member[idx][-1]] for idx in range(i - 1)])
+        enc.settling += [member[idx][-1] for idx in range(i - 1, len(pkb))]
         if i == 1:  # SH3, clausified once
             begin = time.perf_counter()
             for idx, formula in reversed(list(enumerate(pkb))):
@@ -511,7 +533,8 @@ def expected_base_size(measure: str, kb: KnowledgeBase, bound: int | None = None
     if measure == "forgetting":
         return 3 * len(pkb.occurrences())
     if measure == "hitting-set":
-        assert bound is not None
+        if bound is None:
+            raise EncodingError("the hitting-set base signature needs a block count")
         return bound * (n_atoms + len(pkb))
     if measure in ("max-distance", "sum-distance"):
         return n_atoms + 2 * len(pkb) * n_atoms

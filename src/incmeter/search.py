@@ -36,6 +36,7 @@ from .solver import (
     HardClausesUnsatisfiableError,
     MaxSatInstance,
     SolveStatus,
+    fixed_false,
     solve,
 )
 from .values import INF, MEASURES, Value
@@ -131,8 +132,14 @@ class _Session:
     ``build`` makes the bound-free encoding; each probe then appends what its
     bound adds and decides the grown instance under that bound's
     assumptions, or under none for an unbounded probe.  ``model`` is the last
-    probe's model, if it had one.  Once a call finds the clauses themselves
-    unsatisfiable, later probes add nothing and ask the same instance again.
+    probe's model, if it had one.
+
+    ``settled`` holds the assumptions under which every later probe is
+    unsatisfiable, once a call has shown that there are some: ``[]`` when
+    the clauses themselves are refuted, or one of the encoding's
+    ``settling`` literals that the engine holds false at level 0 after an
+    unsatisfiable probe.  A settled probe adds nothing and asks the same
+    instance again, so it is still one solver call, and it fails at once.
     """
 
     def __init__(self, build: Callable[[], encodings.SatEncoding], backend: BackendConfig,
@@ -140,7 +147,7 @@ class _Session:
         self.build, self.backend, self.clock, self.deadline = build, backend, clock, deadline
         self.kb = kb  # the prepared KB encoded, if there is one
         self.enc: encodings.SatEncoding | None = None
-        self.refuted = False
+        self.settled: list[int] | None = None
         self.model: dict[int, bool] | None = None
 
     def probe(self, bound: int | None) -> bool | None:
@@ -151,23 +158,28 @@ class _Session:
         if self.enc is None:
             self.enc = self.build()
         enc = self.enc
-        assumptions = [] if self.refuted or bound is None else enc.assume(bound)
+        if self.settled is not None:
+            assumptions = self.settled
+        else:
+            assumptions = [] if bound is None else enc.assume(bound)
         tseitin = enc.cnf_transform_seconds - tseitin_before
         clock.acc["cnfTransform"] += tseitin
         clock.acc["encoding"] += time.perf_counter() - begin - tseitin
-        remaining = self.deadline - time.monotonic()
-        if remaining <= 0:
+        if time.monotonic() >= self.deadline:
             return None
         self.model = None  # not held while the next call runs
         begin = time.perf_counter()
-        result = solve(enc.cnf, replace(self.backend, timeout=remaining), assumptions)
+        result = solve(enc.cnf, self.backend, assumptions, self.deadline)
         clock.acc["solving"] += time.perf_counter() - begin
         clock.calls += 1
         for name in ENGINE_COUNTERS:
             clock.counters[name] += getattr(result, name)
         if result.status is SolveStatus.TIMEOUT:
             return None
-        self.refuted = result.refuted
+        if result.refuted:
+            self.settled = []
+        elif result.status is SolveStatus.UNSAT and self.settled is None:
+            self.settled = fixed_false(enc.cnf, enc.settling)[:1] or None
         self.model = result.model
         return result.status is SolveStatus.SAT
 

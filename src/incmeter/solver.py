@@ -4,6 +4,8 @@
   extraction, either via the built-in CDCL engine, which stays with an
   append-only instance between calls, or an external DIMACS solver run as a
   subprocess, which gets the assumptions as unit clauses.
+* :func:`fixed_false` — which of some literals the internal engine has
+  found false in every model of the clauses (an external solver: none).
 * :func:`emit_dimacs` / :func:`emit_wcnf` / :func:`parse_solver_output` —
   the text formats, WCNF for a :class:`MaxSatInstance`, whose search is
   ``search.solve_maxsat``.
@@ -149,6 +151,8 @@ class _Cdcl:
 
     def load(self, cnf: CnfInstance) -> None:
         """Add the variables and clauses appended to `cnf` since the last call."""
+        if self.loaded == len(cnf.clauses) and self.n == cnf.num_vars:
+            return  # nothing appended
         extra = cnf.num_vars - self.n
         if extra > 0:
             # new literals go between the positive and the negative ends
@@ -586,11 +590,14 @@ def _external_solver_path(cfg: BackendConfig) -> str:
 
 
 def solve_external(
-    cnf: CnfInstance, cfg: BackendConfig, assumptions: Sequence[int] = ()
+    cnf: CnfInstance, cfg: BackendConfig, assumptions: Sequence[int], deadline: float
 ) -> SolverResult:
     """Run the configured DIMACS solver on `cnf` plus one unit clause per
-    assumption."""
+    assumption, for the time left until `deadline`."""
     path = _external_solver_path(cfg)
+    timeout = deadline - time.monotonic()
+    if timeout <= 0:
+        return SolverResult(SolveStatus.TIMEOUT)
     units = [[lit] for lit in assumptions]
     with tempfile.NamedTemporaryFile(
         "w", suffix=".cnf", prefix="incmeter_", delete=False
@@ -603,7 +610,7 @@ def solve_external(
                 [path, cnf_path],
                 capture_output=True,
                 text=True,
-                timeout=cfg.timeout,
+                timeout=timeout,
             )
         except subprocess.TimeoutExpired:
             return SolverResult(SolveStatus.TIMEOUT)
@@ -632,15 +639,31 @@ def solve(
     cnf: CnfInstance,
     cfg: BackendConfig | None = None,
     assumptions: Sequence[int] = (),
+    deadline: float | None = None,
 ) -> SolverResult:
     """Complete SAT decision for `cnf` with every literal of `assumptions`
     true.  `cnf` is append-only: clauses may be added between calls, and the
-    internal backend then loads only those."""
+    internal backend then loads only those.  The call ends by `deadline` (a
+    ``time.monotonic()`` instant) if one is given, else within the
+    configured timeout."""
     if cfg is None:
         cfg = BackendConfig()
-    if cfg.kind == "internal":
+    if deadline is None:
         deadline = time.monotonic() + cfg.timeout
+    if cfg.kind == "internal":
         return solve_internal(cnf, deadline, assumptions)
     if cfg.kind == "external":
-        return solve_external(cnf, cfg, assumptions)
+        return solve_external(cnf, cfg, assumptions, deadline)
     raise ValueError(f"unknown backend kind {cfg.kind!r}")
+
+
+def fixed_false(cnf: CnfInstance, lits: Sequence[int]) -> list[int]:
+    """The literals of `lits` that every model of `cnf`'s clauses makes
+    false, as far as the solver has found: those the internal engine kept
+    with `cnf` holds false at level 0.  An external solver keeps nothing
+    between calls and answers none."""
+    engine = cnf.engine
+    if engine is None:
+        return []
+    assign, n = engine.assign, engine.n
+    return [lit for lit in lits if abs(lit) <= n and assign[lit] < 0]

@@ -1,6 +1,9 @@
 """Upper-bound SAT encodings: worked examples, sizes, theorem conformance."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +11,7 @@ from incmeter import encodings
 from incmeter.bench import SrsParams, generate_corpus
 from incmeter.cnf import TAG_BLOCK, TAG_COPY, TAG_OCC, TAG_TRI, Lit
 from incmeter.encodings import (
+    EncodingError,
     encode,
     encode_contension,
     encode_contension_maxsat,
@@ -409,8 +413,29 @@ def test_finish_checks_the_base_size_with_the_bound_applied(k4):
         want = expected_base_size("hitting-set", k4, blocks)
         assert encode_hs(k4, blocks).base_signature_size == want
         assert _finish_hs(k4, blocks, False).base_signature_size == want
-        with pytest.raises(AssertionError, match="base signature drifted"):
+        with pytest.raises(EncodingError, match="base signature drifted"):
             _finish_hs(k4, blocks, True)
+
+
+def test_size_checks_raise_under_python_O():
+    """The base-size check and the hitting-set size formula without a block
+    count raise EncodingError, not AssertionError, so `python -O` keeps them."""
+    assert not issubclass(EncodingError, AssertionError)
+    script = (
+        "from incmeter.encodings import EncodingError, SatEncoding, expected_base_size\n"
+        "from incmeter.kb import parse_kb\n"
+        "enc = SatEncoding('hitting-set')\n"
+        "enc.varmap.var(('extra', 0))\n"
+        "for check in (lambda: enc.finish(0), lambda: expected_base_size('hitting-set', parse_kb('x'))):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except EncodingError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise SystemExit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-O", "-c", script], env=env, check=True)
 
 
 # --- forgetting by occurrence values -----------------------------------------

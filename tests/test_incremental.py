@@ -13,14 +13,14 @@ from hypothesis import given
 from incmeter import search
 from incmeter.bench import SrsParams, generate_corpus
 from incmeter.cardinality import CounterAllocator, SequentialCounter, SumCounter
-from incmeter.cnf import TAG_COPY, TAG_INV, CnfInstance
+from incmeter.cnf import TAG_BLOCK, TAG_COPY, TAG_INV, CnfInstance
 from incmeter.encodings import (
     encode,
     encode_contension_maxsat,
     expected_base_size,
     prepare_kb,
 )
-from incmeter.kb import atoms_of, parse_kb
+from incmeter.kb import KnowledgeBase, atoms_of, eval2, interpretations, parse_formula, parse_kb
 from incmeter.oracles import MeasureUndefinedError, oracle_value
 from incmeter.search import binary_search, linear_search
 from incmeter.solver import (
@@ -28,11 +28,12 @@ from incmeter.solver import (
     SolveStatus,
     _Cdcl,
     _DeadlineReached,
+    fixed_false,
     solve,
     solve_internal,
 )
 from incmeter.search import solve_maxsat
-from incmeter.values import MEASURES
+from incmeter.values import INF, MEASURES
 
 N_VARS = 8
 literals = st.integers(1, N_VARS).flatmap(lambda v: st.sampled_from([v, -v]))
@@ -620,3 +621,128 @@ def test_forgetting_values_match_the_oracle(k7):
         assert binary_search("forgetting", kb).value == want, kb
         assert linear_search("forgetting", kb).value == want, kb
     assert len(values) > 2
+
+
+# --- settled hitting-set sessions --------------------------------------------
+
+UNSAT_FORMULA = parse_formula("(a || b) && !a && !b")  # no model, and folds to no constant
+# pairwise contradictory formulas: three blocks, value 2
+THREE_BLOCKS = parse_kb("x && y\n!x\nx && !y")
+
+
+def _satisfiable(formula):
+    names = tuple(sorted(atoms_of(formula)))
+    return any(eval2(formula, w) for w in interpretations(names))
+
+
+def _finite_hs_kbs(k4, k5, k7):
+    """Seeded KBs cut down to at most seven satisfiable formulas (one more
+    stays within the oracle caps), K4, K5, K7 and a KB of value 2: every
+    hitting-set value is finite."""
+    corpus = generate_corpus(SrsParams(3, 5, 8, seed=17), 8)
+    kbs = [KnowledgeBase(tuple([f for f in kb if _satisfiable(f)][:7])) for _, kb in corpus]
+    return kbs + [k4, k5, k7, THREE_BLOCKS]
+
+
+def _with_unsat_formula(kb, where):
+    formulas = list(kb)
+    formulas.insert({"first": 0, "middle": len(formulas) // 2, "last": len(formulas)}[where],
+                    UNSAT_FORMULA)
+    return KnowledgeBase(tuple(formulas))
+
+
+def _recording_probes(monkeypatch):
+    """Patch the session to record (settled, clauses, variables) after each probe."""
+    seen = []
+    original = search._Session.probe
+
+    def recording(self, bound):
+        verdict = original(self, bound)
+        cnf = self.enc.cnf
+        seen.append((self.settled, len(cnf.clauses), cnf.num_vars))
+        return verdict
+
+    monkeypatch.setattr(search._Session, "probe", recording)
+    return seen
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_hitting_set_with_an_unsatisfiable_formula_settles_at_inf(monkeypatch, k4, k5, k7, where):
+    """One unsatisfiable formula, placed first, in the middle or last (formula
+    idx may only join blocks 1..idx+1): both drivers give the oracle's inf,
+    and the sessions settle on one membership their formula may take."""
+    seen = _recording_probes(monkeypatch)
+    for kb in _finite_hs_kbs(k4, k5, k7):
+        bad = _with_unsat_formula(kb, where)
+        assert oracle_value(bad, "hitting-set") == INF
+        for runner in (binary_search, linear_search):
+            seen.clear()
+            out = runner("hitting-set", bad)
+            assert out.value == INF, (runner, bad)
+            settled = [s for s, _, _ in seen if s is not None]
+            assert settled and all(s == settled[0] and len(s) == 1 for s in settled)
+
+
+def test_hitting_set_values_of_finite_kbs_match_the_oracle(monkeypatch, k4, k5, k6, k7):
+    """No session of a KB whose formulas are all satisfiable settles, and
+    K4-K7 and the seeded KBs get the oracle's value from both drivers; some
+    values need three blocks, whose SH-order units fix memberships false."""
+    seen = _recording_probes(monkeypatch)
+    values = set()
+    for kb in _finite_hs_kbs(k4, k5, k7) + [k6]:
+        want = oracle_value(kb, "hitting-set")
+        values.add(want)
+        seen.clear()
+        assert binary_search("hitting-set", kb).value == want, kb
+        assert linear_search("hitting-set", kb).value == want, kb
+        if want != INF:
+            assert all(s is None for s, _, _ in seen), kb
+    assert {0, 1, 2, INF} <= values
+
+
+def test_settled_linear_search_stops_growing_the_instance(monkeypatch, k7):
+    """Once a linear search settles, no probe appends clauses or variables,
+    and the search still makes one solver call per value of its range."""
+    seen = _recording_probes(monkeypatch)
+    kb = _with_unsat_formula(generate_corpus(SrsParams(3, 6, 8, seed=17), 1)[0][1], "middle")
+    out = linear_search("hitting-set", kb)
+    assert out.value == INF
+    assert out.solver_calls == search.search_range("hitting-set", kb).size
+    first = next(i for i, (s, _, _) in enumerate(seen) if s is not None)
+    assert first < len(seen) - 2
+    assert seen[first][0] != []  # settled on a membership, not refuted
+    assert {(clauses, num_vars) for _, clauses, num_vars in seen[first:]} == {seen[first][1:]}
+
+
+def test_settled_membership_is_one_its_formula_may_take(k7):
+    """The settling literals are exactly the memberships m[idx][b] with
+    b <= idx + 1 of the blocks built so far."""
+    kb = _with_unsat_formula(k7, "middle")
+    enc = encode("hitting-set", kb)
+    for u in range(len(kb)):
+        enc.assume(u)
+        names = [enc.varmap.name_of(lit) for lit in enc.settling]
+        assert sorted(names) == sorted(
+            (TAG_BLOCK, idx, b) for b in range(1, u + 2) for idx in range(b - 1, len(kb))
+        )
+
+
+def test_external_backend_never_settles(monkeypatch, fake_solver, k7):
+    """An external solver reports no level-0 facts: no session settles, and
+    the value and solver calls are those of the internal engine."""
+    seen = _recording_probes(monkeypatch)
+    cfg = search.RunConfig(BackendConfig(kind="external", solver_path=fake_solver, timeout=60))
+    for kb in (_with_unsat_formula(k7, "first"), k7):
+        for runner in (binary_search, linear_search):
+            seen.clear()
+            ext = runner("hitting-set", kb, cfg)
+            assert all(s is None for s, _, _ in seen)
+            internal = runner("hitting-set", kb)
+            assert (ext.value, ext.solver_calls) == (internal.value, internal.solver_calls)
+
+
+def test_fixed_false_reads_level_zero_facts_of_the_kept_engine():
+    cnf = CnfInstance(3, [[-1], [1, 2], [2, 3]])
+    assert fixed_false(cnf, [1, -1, 2, 3]) == []  # no engine yet
+    assert solve_internal(cnf, assumptions=[-3]).is_sat
+    assert fixed_false(cnf, [1, -1, -2, 3, -3, 4]) == [1, -2]
