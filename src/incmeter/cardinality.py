@@ -2,13 +2,13 @@
 
 Two encodings over a list of solver variables:
 
-* sequential — the sequential-counter construction with O(n*k) auxiliary
-  register variables and clauses, the one the SAT encodings use.
+* :func:`at_most` — the sequential-counter construction with O(n*k)
+  auxiliary register variables and clauses, the one the SAT encodings use.
   :class:`SequentialCounter` grows it column by column and bounds the count
   by one literal, so a search can add bounds by assumption.
-* binomial — one all-negative clause per (k+1)-subset, C(n, k+1) clauses,
-  no auxiliary variables; kept as the reference the sequential counter is
-  checked against.
+* :func:`at_most_binomial` — one all-negative clause per (k+1)-subset,
+  C(n, k+1) clauses, no auxiliary variables; kept as the reference the
+  sequential counter is checked against.
 
 Both treat k >= n as the empty constraint and k == 0 as unit negatives.
 
@@ -170,7 +170,7 @@ class SumCounter:
         return clauses, -outputs[k]
 
 
-def at_most_sequential(
+def at_most(
     k: int, variables: Sequence[int], alloc: AuxAllocator
 ) -> list[list[int]]:
     """Sequential counter for sum(variables) <= k, as a one-shot clause set:
@@ -192,16 +192,3 @@ def at_most_sequential(
 def sequential_clause_bound(n: int, k: int) -> int:
     """Declared upper bound on the sequential encoding's clause count."""
     return 3 * n * k + n
-
-
-def at_most(
-    k: int,
-    variables: Sequence[int],
-    alloc: AuxAllocator,
-    method: str = "sequential",
-) -> list[list[int]]:
-    if method == "sequential":
-        return at_most_sequential(k, variables, alloc)
-    if method == "binomial":
-        return at_most_binomial(k, variables)
-    raise ValueError(f"unknown cardinality method {method!r}")

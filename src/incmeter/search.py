@@ -5,7 +5,7 @@ midpoint of the remaining range, keep the bound on satisfiable, move up on
 unsatisfiable, and fall back to infinity when the range is exhausted and the
 measure admits it.  A linear variant probes 0, 1, 2, ... instead.  The
 hitting-set measure searches over block counts internally (satisfiability of
-the b-block instance certifies value <= b - 1), so both drivers operate on
+the b-block instance certifies value <= b - 1), so both searches operate on
 the plain value range [0, |K|-1].
 
 Each search runs one :class:`_Session`: the KB is prepared once, the rules
@@ -13,17 +13,20 @@ every bound shares are encoded once, and each probe appends only what its
 bound adds and is one SAT call under assumptions on the same instance, so
 the internal engine keeps what it learned from one probe to the next.
 MaxSAT (:func:`solve_maxsat`) runs on a session too, over the hard clauses
-and a counter of the violated soft units, with its own bisection.
+and a counter of the violated soft units.  One driver, :func:`_drive`,
+runs all three searches; they differ only in the rule that picks the next
+bound and in what a model is worth.
 
-``compute`` dispatches a (measure, method) pair to the right pipeline and
-reports phase timings split into encoding generation, CNF transformation,
-solving, and everything else.
+``compute`` is the one entry point: it dispatches a (measure, method) pair
+to the right pipeline, answers an empty KB, and reports phase timings split
+into encoding generation, CNF transformation, solving, and everything else.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 from . import asp as asp_mod
@@ -113,17 +116,8 @@ class _PhaseClock:
     def __init__(self) -> None:
         self.start = time.perf_counter()
         self.acc = {"encoding": 0.0, "cnfTransform": 0.0, "solving": 0.0}
-        self.calls = 0  # SAT calls that ran, timed-out ones included
+        self.calls = 0  # solver calls that ran, timed-out ones included
         self.counters = dict.fromkeys(ENGINE_COUNTERS, 0)
-
-    def outcome(self, measure: str, method: str, value: Value | None,
-                calls: int, status: str = "ok",
-                bounds: tuple[int, int] | None = None) -> SearchOutcome:
-        total = time.perf_counter() - self.start
-        other = max(0.0, total - sum(self.acc.values()))
-        phases = dict(self.acc, other=other)
-        return SearchOutcome(measure, method, value, calls, phases, total, status, bounds,
-                             dict(self.counters))
 
 
 class _Session:
@@ -184,18 +178,52 @@ class _Session:
         return result.status is SolveStatus.SAT
 
 
-def _search_session(measure: str, kb: KnowledgeBase, cfg: RunConfig,
-                    clock: _PhaseClock) -> tuple[_Session, SearchRange]:
-    """The session of one binary or linear search, on the KB prepared once."""
-    deadline = time.monotonic() + cfg.timeout
+
+
+# A rule picks the next bound from the undecided range [lo, hi] and the
+# least value a model has met so far (None before the first model).
+_Rule = Callable[[int, int, int | None], int | None]
+
+
+def _drive(session: _Session, lo: int, hi: int, next_bound: _Rule,
+           value_of: Callable[[int | None, dict[int, bool]], int],
+           ) -> tuple[int | None, dict[int, bool] | None, tuple[int, int] | None]:
+    """Probe `next_bound(lo, hi, value)` until the undecided range is empty.
+
+    A model moves hi below its value, ``value_of(bound, model)``; an
+    unsatisfiable probe moves lo above its bound, or past hi if unbounded.
+    Returns the least value a model met and that model (None if none did),
+    and the undecided range if a probe timed out."""
+    value = model = None
+    while lo <= hi:
+        bound = next_bound(lo, hi, value)
+        verdict = session.probe(bound)
+        if verdict is None:
+            return value, model, (lo, hi)
+        if verdict:
+            model = session.model
+            value = value_of(bound, model)
+            hi = value - 1
+        else:
+            lo = hi + 1 if bound is None else bound + 1
+    return value, model, None
+
+
+def _search(next_bound: _Rule, measure: str, kb: KnowledgeBase, cfg: RunConfig,
+            clock: _PhaseClock, deadline: float) -> tuple[Value | None, tuple[int, int] | None]:
+    """One binary or linear search, on the KB prepared once; a satisfiable
+    bound is itself the value it certifies."""
     pkb = encodings.prepare_kb(kb)
     session = _Session(lambda: encodings.encode(measure, pkb), cfg.backend, clock, deadline, pkb)
-    return session, search_range(measure, pkb)
-
-
-def _exhausted(measure: str, rng: SearchRange) -> Value:
+    rng = search_range(measure, pkb)
+    value, _model, undecided = _drive(session, rng.min, rng.max, next_bound,
+                                      lambda bound, _model: bound)
+    if undecided is not None:
+        return None, undecided
+    if value is not None:
+        return value, None
     if rng.infinity_possible:
-        return INF
+        return INF, None
     raise MeasureUndefinedError(
         f"no upper bound of {measure} found in its range; "
         "a formula constant-folds to -"
@@ -204,42 +232,12 @@ def _exhausted(measure: str, rng: SearchRange) -> Value:
 
 def binary_search(measure: str, kb: KnowledgeBase, cfg: RunConfig | None = None) -> SearchOutcome:
     """Published binary-search scheme over the measure's value range."""
-    cfg = cfg or RunConfig()
-    clock = _PhaseClock()
-    if len(kb) == 0:
-        return clock.outcome(measure, "sat-binary", 0, 0)
-    session, rng = _search_session(measure, kb, cfg, clock)
-    lo, hi = rng.min, rng.max
-    inc_val = -1
-    while lo <= hi:
-        mid = lo + (hi - lo) // 2
-        verdict = session.probe(mid)
-        if verdict is None:
-            return clock.outcome(measure, "sat-binary", None, clock.calls, "timeout", (lo, hi))
-        if verdict:
-            if inc_val < 0 or mid < inc_val:
-                inc_val = mid
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    value = _exhausted(measure, rng) if inc_val < 0 else inc_val
-    return clock.outcome(measure, "sat-binary", value, clock.calls)
+    return compute(measure, kb, "sat-binary", cfg)
 
 
 def linear_search(measure: str, kb: KnowledgeBase, cfg: RunConfig | None = None) -> SearchOutcome:
     """Probe u = 0, 1, 2, ...; the first satisfiable bound is the value."""
-    cfg = cfg or RunConfig()
-    clock = _PhaseClock()
-    if len(kb) == 0:
-        return clock.outcome(measure, "sat-linear", 0, 0)
-    session, rng = _search_session(measure, kb, cfg, clock)
-    for u in range(rng.min, rng.max + 1):
-        verdict = session.probe(u)
-        if verdict is None:
-            return clock.outcome(measure, "sat-linear", None, clock.calls, "timeout", (u, rng.max))
-        if verdict:
-            return clock.outcome(measure, "sat-linear", u, clock.calls)
-    return clock.outcome(measure, "sat-linear", _exhausted(measure, rng), clock.calls)
+    return compute(measure, kb, "sat-linear", cfg)
 
 
 def solve_maxsat(
@@ -251,10 +249,12 @@ def solve_maxsat(
 
     One session over a copy of the hard clauses (the caller's instance is
     left as is) and a sequential counter over the violation literals: an
-    unbounded call, then a bisection on the violation budget in which a
-    model moves the upper end down to its own violation count.  The session
-    records into `clock`, when given: counter growth as encoding, SAT calls
-    as solving, and the calls and engine counters.
+    unbounded call, then the upper midpoint of the undecided range, where a
+    model's violation count is its value.  Under the assumptions for bound
+    u at most u violation literals hold, so a model's count never exceeds
+    its bound.  The session records into `clock`, when given: counter
+    growth as encoding, SAT calls as solving, and the calls and engine
+    counters.
     """
     cfg = cfg or BackendConfig()
 
@@ -266,36 +266,24 @@ def solve_maxsat(
         enc.at_most("soft", [[[-lit for lit in inst.soft_units]]])
         return enc
 
-    def cost(model: dict[int, bool]) -> int:
+    def cost(_bound: int | None, model: dict[int, bool]) -> int:
         return sum(model[abs(lit)] != (lit > 0) for lit in inst.soft_units)
 
+    def unbounded_then_upper_midpoint(lo: int, hi: int, value: int | None) -> int | None:
+        return None if value is None else lo + (hi - lo + 1) // 2
+
     session = _Session(build, cfg, clock or _PhaseClock(), time.monotonic() + cfg.timeout)
-
-    def probe(bound: int | None) -> bool:
-        verdict = session.probe(bound)
-        if verdict is None:
-            raise TimeoutError("MaxSAT search timed out")
-        return verdict
-
-    if not probe(None):
+    value, model, undecided = _drive(session, 0, len(inst.soft_units),
+                                     unbounded_then_upper_midpoint, cost)
+    if undecided is not None:
+        raise TimeoutError("MaxSAT search timed out")
+    if model is None:
         raise HardClausesUnsatisfiableError("hard clauses are unsatisfiable")
-    best = session.model
-    lo, hi = 0, cost(best)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if probe(mid):
-            best = session.model
-            hi = min(mid, cost(best))
-        else:
-            lo = mid + 1
-    return lo, {v: best[v] for v in range(1, inst.hard.num_vars + 1)}
+    return value, {v: model[v] for v in range(1, inst.hard.num_vars + 1)}
 
 
-def _compute_maxsat(measure: str, kb: KnowledgeBase, cfg: RunConfig) -> SearchOutcome:
-    clock = _PhaseClock()
-    if len(kb) == 0:
-        return clock.outcome(measure, "maxsat", 0, 0)
-    deadline = time.monotonic() + cfg.timeout
+def _maxsat(measure: str, kb: KnowledgeBase, cfg: RunConfig,
+            clock: _PhaseClock, deadline: float) -> tuple[Value | None, None]:
     begin = time.perf_counter()
     inst = encodings.encode_contension_maxsat(kb)
     elapsed = time.perf_counter() - begin
@@ -303,7 +291,7 @@ def _compute_maxsat(measure: str, kb: KnowledgeBase, cfg: RunConfig) -> SearchOu
     clock.acc["encoding"] += elapsed - inst.cnf_transform_seconds
     remaining = deadline - time.monotonic()
     if remaining <= 0:
-        return clock.outcome(measure, "maxsat", None, 0, "timeout")
+        return None, None
     try:
         cost, _model = solve_maxsat(inst, replace(cfg.backend, timeout=remaining), clock)
     except HardClausesUnsatisfiableError as exc:
@@ -311,42 +299,54 @@ def _compute_maxsat(measure: str, kb: KnowledgeBase, cfg: RunConfig) -> SearchOu
             "contension hard clauses unsatisfiable; a formula constant-folds to -"
         ) from exc
     except TimeoutError:
-        return clock.outcome(measure, "maxsat", None, clock.calls, "timeout")
-    return clock.outcome(measure, "maxsat", cost, clock.calls)
+        return None, None
+    return cost, None
 
 
-def _compute_naive(measure: str, kb: KnowledgeBase, cfg: RunConfig) -> SearchOutcome:
-    clock = _PhaseClock()
-    if len(kb) == 0:
-        return clock.outcome(measure, "naive", 0, 0)
+def _naive(measure: str, kb: KnowledgeBase, cfg: RunConfig,
+           clock: _PhaseClock, deadline: float) -> tuple[Value, None]:
     begin = time.perf_counter()
     value = naive_measure(kb, measure)
     clock.acc["solving"] += time.perf_counter() - begin
-    return clock.outcome(measure, "naive", value, 1)
+    clock.calls += 1
+    return value, None
 
 
-def _compute_asp(measure: str, kb: KnowledgeBase, cfg: RunConfig) -> SearchOutcome:
-    clock = _PhaseClock()
-    if len(kb) == 0:
-        return clock.outcome(measure, "asp", 0, 0)
-    deadline = time.monotonic() + cfg.timeout
+def _asp(measure: str, kb: KnowledgeBase, cfg: RunConfig,
+         clock: _PhaseClock, deadline: float) -> tuple[Value | None, None]:
     begin = time.perf_counter()
     program = asp_mod.emit_asp(measure, kb)
     clock.acc["encoding"] += time.perf_counter() - begin
     remaining = deadline - time.monotonic()
     if remaining <= 0:
-        return clock.outcome(measure, "asp", None, 0, "timeout")
+        return None, None
     begin = time.perf_counter()
     report = asp_mod.solve_asp(program, solver_path=cfg.asp_solver, timeout=remaining)
     clock.acc["solving"] += time.perf_counter() - begin
+    clock.calls += 1
     if report.status == "timeout":
-        return clock.outcome(measure, "asp", None, 1, "timeout")
-    return clock.outcome(measure, "asp", asp_mod.extract_value(measure, program, report), 1)
+        return None, None
+    return asp_mod.extract_value(measure, program, report), None
+
+
+_PIPELINES = {
+    "sat-binary": partial(_search, lambda lo, hi, _value: lo + (hi - lo) // 2),
+    "sat-linear": partial(_search, lambda lo, _hi, _value: lo),
+    "maxsat": _maxsat,
+    "naive": _naive,
+    "asp": _asp,
+}
 
 
 def compute(measure: str, kb: KnowledgeBase, method: str = "sat-binary",
             cfg: RunConfig | None = None) -> SearchOutcome:
-    """Compute the measure's value with the chosen pipeline."""
+    """Compute the measure's value with the chosen pipeline.
+
+    The run's clock and time limit start here and cover the whole pipeline.
+    An empty KB has value 0 under every method, with no call.  A pipeline
+    returns its value, or None on a timeout with the range it left
+    undecided, if it searched one.
+    """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
     if method not in METHODS:
@@ -354,12 +354,14 @@ def compute(measure: str, kb: KnowledgeBase, method: str = "sat-binary",
     if method == "maxsat" and measure != "contension":
         raise ValueError("the MaxSAT pipeline only supports the contension measure")
     cfg = cfg or RunConfig()
-    if method == "sat-binary":
-        return binary_search(measure, kb, cfg)
-    if method == "sat-linear":
-        return linear_search(measure, kb, cfg)
-    if method == "maxsat":
-        return _compute_maxsat(measure, kb, cfg)
-    if method == "naive":
-        return _compute_naive(measure, kb, cfg)
-    return _compute_asp(measure, kb, cfg)
+    clock = _PhaseClock()
+    if len(kb) == 0:
+        value, bounds = 0, None
+    else:
+        deadline = time.monotonic() + cfg.timeout
+        value, bounds = _PIPELINES[method](measure, kb, cfg, clock, deadline)
+    total = time.perf_counter() - clock.start
+    phases = dict(clock.acc, other=max(0.0, total - sum(clock.acc.values())))
+    return SearchOutcome(measure, method, value, clock.calls, phases, total,
+                         "ok" if value is not None else "timeout", bounds,
+                         dict(clock.counters))

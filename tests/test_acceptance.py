@@ -16,7 +16,7 @@ import pytest
 
 from incmeter.asp import STATIC_BLOCKS, asp_backend_available, emit_asp, extract_value, solve_asp
 from incmeter.bench import SrsParams, generate_corpus
-from incmeter.cardinality import CounterAllocator, at_most_binomial, at_most_sequential
+from incmeter.cardinality import CounterAllocator, at_most, at_most_binomial
 from incmeter.cnf import CnfInstance, tseitin
 from incmeter.encodings import encode, encode_hs, expected_base_size
 from incmeter.kb import Atom, eval2, interpretations, parse_kb
@@ -170,7 +170,7 @@ def test_criterion_4_cardinality_exhaustive():
             if len(bino) != comb(n, k + 1):
                 bad.append(("binomial-count", n, k))
             alloc = CounterAllocator(n)
-            seq = at_most_sequential(k, variables, alloc)
+            seq = at_most(k, variables, alloc)
             for bits in itertools.product([False, True], repeat=n):
                 want = sum(bits) <= k
                 bino_ok = all(

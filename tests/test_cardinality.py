@@ -9,7 +9,6 @@ from incmeter.cardinality import (
     CounterAllocator,
     at_most,
     at_most_binomial,
-    at_most_sequential,
     sequential_clause_bound,
 )
 from incmeter.cnf import CnfInstance, VarMap
@@ -39,14 +38,14 @@ def test_binomial_clause_count(n):
 
 def test_sequential_k0():
     alloc = CounterAllocator(2)
-    assert at_most_sequential(0, [1, 2], alloc) == [[-1], [-2]]
+    assert at_most(0, [1, 2], alloc) == [[-1], [-2]]
 
 
 def test_sequential_aux_recorded_in_varmap():
     vm = VarMap()
     for i in range(4):
         vm.var(("atom", f"x{i}"))
-    at_most_sequential(2, [1, 2, 3, 4], vm)
+    at_most(2, [1, 2, 3, 4], vm)
     assert vm.base_count() == 4
     assert len(vm) > 4  # registers allocated as aux entries
 
@@ -62,7 +61,7 @@ def test_sequential_exhaustive_soundness(n):
     variables = list(range(1, n + 1))
     for k in range(n + 1):
         alloc = CounterAllocator(n)
-        clauses = at_most_sequential(k, variables, alloc)
+        clauses = at_most(k, variables, alloc)
         for bits in itertools.product([False, True], repeat=n):
             assignment = dict(zip(variables, bits))
             ok = _extension_satisfiable(clauses, n, alloc.top, assignment)
@@ -74,7 +73,7 @@ def test_sequential_matches_binomial_projection(n):
     variables = list(range(1, n + 1))
     for k in range(n + 1):
         alloc = CounterAllocator(n)
-        seq = at_most_sequential(k, variables, alloc)
+        seq = at_most(k, variables, alloc)
         bino = at_most_binomial(k, variables)
         for bits in itertools.product([False, True], repeat=n):
             assignment = dict(zip(variables, bits))
@@ -90,20 +89,12 @@ def test_sequential_matches_binomial_projection(n):
 def test_sequential_clause_budget(n):
     variables = list(range(1, n + 1))
     for k in range(n + 1):
-        clauses = at_most_sequential(k, variables, CounterAllocator(n))
+        clauses = at_most(k, variables, CounterAllocator(n))
         assert len(clauses) <= sequential_clause_bound(n, k)
-
-
-def test_dispatch():
-    vm = VarMap()
-    assert at_most(0, [1], vm, "binomial") == [[-1]]
-    assert at_most(0, [1], vm, "sequential") == [[-1]]
-    with pytest.raises(ValueError):
-        at_most(1, [1, 2], vm, "totalizer")
 
 
 def test_negative_k_rejected():
     with pytest.raises(ValueError):
         at_most_binomial(-1, [1])
     with pytest.raises(ValueError):
-        at_most_sequential(-1, [1], CounterAllocator(1))
+        at_most(-1, [1], CounterAllocator(1))

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from incmeter import search
 from incmeter.bench import SrsParams, generate_corpus
 from incmeter.kb import parse_kb
 from incmeter.oracles import MeasureUndefinedError, oracle_value
@@ -97,6 +98,67 @@ def test_search_call_budget_and_agreement_on_random_kbs():
             assert b.solver_calls <= math.floor(math.log2(rng.size)) + 1
 
 
+def _published_bounds(method, rng, verdicts):
+    """The bounds the published scheme probes when it gets `verdicts`, up to
+    where it stops, and whether it has stopped after them.  Binary search
+    probes the lower midpoint of [lo, hi], then goes on in [lo, mid - 1] on
+    a satisfiable verdict and in [mid + 1, hi] on an unsatisfiable one,
+    until the range is empty.  Linear search probes min, min + 1, ... until
+    the first satisfiable bound or the end of the range."""
+    bounds = []
+    if method == "sat-linear":
+        for bound, verdict in zip(range(rng.min, rng.max + 1), verdicts):
+            bounds.append(bound)
+            if verdict:
+                return bounds, True
+        return bounds, len(bounds) == rng.size
+    lo, hi = rng.min, rng.max
+    for verdict in verdicts:
+        if lo > hi:
+            break
+        mid = (lo + hi) // 2
+        bounds.append(mid)
+        if verdict:
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return bounds, lo > hi
+
+
+@pytest.mark.parametrize("method", ["sat-binary", "sat-linear"])
+def test_searches_probe_in_the_published_order(monkeypatch, k4, k5, k6, k7, method):
+    """Each bound a search probes is the one the published scheme picks from
+    the verdicts before it, and the search stops where the scheme does.
+    The value is the least satisfiable bound, and unless it is the range's
+    minimum, value - 1 was probed unsatisfiable; inf follows an
+    unsatisfiable probe at the top of the range."""
+    probes = []
+    original = search._Session.probe
+
+    def recording(self, bound):
+        verdict = original(self, bound)
+        probes.append((bound, verdict))
+        return verdict
+
+    monkeypatch.setattr(search._Session, "probe", recording)
+    kbs = [k4, k5, k6, k7] + [kb for _, kb in generate_corpus(SrsParams(6, 8, 14, seed=7), 20)]
+    for kb in kbs:
+        for measure in MEASURES:
+            probes.clear()
+            out = compute(measure, kb, method)
+            rng = search_range(measure, kb)
+            bounds, stopped = _published_bounds(method, rng, [v for _, v in probes])
+            assert [b for b, _ in probes] == bounds and stopped, (measure, kb, probes)
+            assert out.solver_calls == len(probes)
+            satisfiable = [b for b, v in probes if v]
+            if out.value == INF:
+                assert not satisfiable and (rng.max, False) in probes, (measure, kb)
+                continue
+            assert out.value == min(satisfiable), (measure, kb)
+            if out.value > rng.min:
+                assert (out.value - 1, False) in probes, (measure, kb)
+
+
 def test_infinity_only_with_contradictory_member():
     from incmeter.kb import KnowledgeBase, enumerate_models
 
@@ -114,11 +176,14 @@ def test_infinity_only_with_contradictory_member():
                 assert not has_contradiction, (kb_id, measure)
 
 
-def test_binary_search_timeout_carries_bounds(k7):
+@pytest.mark.parametrize("method", ["sat-binary", "sat-linear"])
+def test_timeout_carries_the_undecided_range(k7, method):
+    """A limit that ends the run before its first call leaves the whole
+    range [0, |atoms|] of contension on K7 undecided."""
     cfg = RunConfig(backend=BackendConfig(timeout=1e-9))
-    out = binary_search("contension", k7, cfg)
+    out = compute("contension", k7, method, cfg)
     assert out.timed_out and out.value is None
-    assert out.bounds is not None
+    assert out.bounds == (0, 2)
 
 
 def test_measure_undefined_when_constant_false():
