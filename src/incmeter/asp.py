@@ -7,23 +7,21 @@ contract: they are compared byte-for-byte against checked-in golden files.
 
 Programs are written in the clingo dialect (ASP-Core-2 aggregates,
 ``#minimize`` with weight-and-tuple elements); an external grounder/solver
-is driven over a temp file and its Answer/Optimization/UNSATISFIABLE output
-is interpreted per measure.
+is driven over a temp file (``solver.run_on_text``) and its
+Answer/Optimization/UNSATISFIABLE output is interpreted per measure.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import shutil
-import subprocess
-import tempfile
+import time
 from dataclasses import dataclass, field
 
 from .encodings import prepare_kb
 from .kb import And, Atom, KnowledgeBase, Not, Or, Site, Top
 from .oracles import MeasureUndefinedError
-from .solver import BackendUnavailableError, SolverOutputError
+from .solver import SolverOutputError, find_binary, run_on_text
 from .values import INF, INFINITY_MEASURES, Value
 
 ASP_SOLVER_ENV = "INCMETER_ASP_SOLVER"
@@ -273,16 +271,13 @@ class AnswerSetReport:
     optimization_cost: int | None = None
 
 
-def asp_solver_path(explicit: str | None = None) -> str | None:
-    path = explicit or os.environ.get(ASP_SOLVER_ENV) or "clingo"
-    resolved = shutil.which(path)
-    if resolved is None and os.path.exists(path):
-        resolved = path
-    return resolved
+def _asp_solver(explicit: str | None) -> str:
+    """The ASP solver to run: `explicit`, else $INCMETER_ASP_SOLVER, else clingo."""
+    return explicit or os.environ.get(ASP_SOLVER_ENV) or "clingo"
 
 
 def asp_backend_available(explicit: str | None = None) -> bool:
-    return asp_solver_path(explicit) is not None
+    return find_binary(_asp_solver(explicit)) is not None
 
 
 def parse_asp_output(text: str) -> AnswerSetReport:
@@ -320,33 +315,14 @@ def solve_asp(
     solver_path: str | None = None,
     timeout: float = 600.0,
 ) -> AnswerSetReport:
-    path = asp_solver_path(solver_path)
-    if path is None:
-        raise BackendUnavailableError(
-            f"no ASP solver available (set {ASP_SOLVER_ENV} or install clingo)"
-        )
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".lp", prefix="incmeter_", delete=False
-    ) as handle:
-        handle.write(program.text())
-        lp_path = handle.name
-    try:
-        try:
-            proc = subprocess.run(
-                [path, "--quiet=1", lp_path],
-                capture_output=True,
-                text=True,
-                timeout=timeout,
-            )
-        except subprocess.TimeoutExpired:
-            return AnswerSetReport("timeout")
-        except OSError as exc:
-            raise BackendUnavailableError(f"failed to run {path!r}: {exc}") from exc
-        # clingo exit codes are a bitmask; 10/20/30 all carry a verdict in
-        # the text, so parse stdout and only fail on clearly broken output.
-        return parse_asp_output(proc.stdout)
-    finally:
-        os.unlink(lp_path)
+    """Run the ASP solver on `program` for at most `timeout` seconds."""
+    proc = run_on_text(_asp_solver(solver_path), ["--quiet=1"], program.text(), ".lp",
+                       time.monotonic() + timeout)
+    if proc is None:
+        return AnswerSetReport("timeout")
+    # clingo exit codes are a bitmask; 10/20/30 all carry a verdict in
+    # the text, so parse stdout and only fail on clearly broken output.
+    return parse_asp_output(proc.stdout)
 
 
 # ---------------------------------------------------------------------------

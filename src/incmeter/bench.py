@@ -188,7 +188,11 @@ def run_matrix(
     workers: int = 1,
     cfg: RunConfig | None = None,
 ) -> list[BenchRecord]:
-    """Run every (kb, measure, method) cell and verify value agreement."""
+    """Run every (kb, measure, method) cell and verify value agreement.
+
+    A cell runs under `cfg`, whose timeout is the one limit: it ends each run
+    and marks a run that overran it as a timeout.  Without `cfg`, the cells
+    run on the internal engine under `timeout_seconds`."""
     if cfg is None:
         cfg = RunConfig(backend=BackendConfig(timeout=timeout_seconds))
     tasks = [
@@ -211,7 +215,7 @@ def run_matrix(
                       else "backend-error")
             elapsed = time.perf_counter() - begin
             return BenchRecord(kb_id, measure, method, None, elapsed, {}, 0, status)
-        return _record(kb_id, outcome, timeout_seconds)
+        return _record(kb_id, outcome, cfg.timeout)
 
     if workers <= 1:
         records = [run(task) for task in tasks]

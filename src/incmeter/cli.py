@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -20,20 +21,15 @@ from . import bench, encodings
 from .kb import KbSyntaxError, KnowledgeBase, load_kb
 from .oracles import CapExceededError, MeasureUndefinedError
 from .search import METHODS, RunConfig, SearchOutcome, compute
-from .solver import (
-    BackendConfig,
-    BackendUnavailableError,
-    HardClausesUnsatisfiableError,
-    SolverOutputError,
-    emit_dimacs,
-    emit_wcnf,
-)
+from .solver import BackendConfig, BackendUnavailableError, SolverOutputError, emit_dimacs, emit_wcnf
 from .values import MEASURES, format_value
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BACKEND = 2
 EXIT_TIMEOUT = 3
+
+SAT_SOLVER_ENV = "INCMETER_SAT_SOLVER"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,7 +45,9 @@ def _build_parser() -> _Parser:
 
     def add_backend_flags(p):
         p.add_argument("--timeout", type=float, default=600.0, help="seconds per query")
-        p.add_argument("--sat-solver", help="external DIMACS solver binary")
+        p.add_argument("--sat-solver", default=os.environ.get(SAT_SOLVER_ENV) or None,
+                       help=f"external DIMACS solver binary (default: ${SAT_SOLVER_ENV}, "
+                       "else the built-in engine)")
         p.add_argument("--asp-solver", help="external ASP solver binary")
 
     p = sub.add_parser("measure", help="compute an inconsistency value")
@@ -99,11 +97,7 @@ def _build_parser() -> _Parser:
 
 
 def _run_config(args) -> RunConfig:
-    backend = BackendConfig(
-        kind="external" if args.sat_solver else "internal",
-        solver_path=args.sat_solver,
-        timeout=args.timeout,
-    )
+    backend = BackendConfig(solver_path=args.sat_solver, timeout=args.timeout)
     return RunConfig(backend=backend, asp_solver=args.asp_solver)
 
 
@@ -119,6 +113,8 @@ def _outcome_json(outcome: SearchOutcome) -> str:
         "method": outcome.method,
         "status": outcome.status,
         "value": None if outcome.value is None else format_value(outcome.value),
+        # the range a timed-out search left undecided
+        "bounds": None if outcome.bounds is None else list(outcome.bounds),
         "solverCalls": outcome.solver_calls,
         "engineCounters": outcome.engine_counters,
         "phaseTimes": {k: round(v, 6) for k, v in outcome.phase_times.items()},
@@ -236,12 +232,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (BackendUnavailableError, SolverOutputError, HardClausesUnsatisfiableError) as exc:
+    except (BackendUnavailableError, SolverOutputError) as exc:
         print(f"incmeter: backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except TimeoutError as exc:
-        print(f"incmeter: timeout: {exc}", file=sys.stderr)
-        return EXIT_TIMEOUT
     except (KbSyntaxError, MeasureUndefinedError, CapExceededError, ValueError, OSError) as exc:
         print(f"incmeter: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -117,6 +117,8 @@ class SatEncoding:
         # every bound unsatisfiable (for hitting-set, the memberships each
         # formula may take): a search is then settled on assuming it.
         self.settling: list[int] = []
+        # the literals :meth:`at_most` bounds, over all its sums
+        self._counted: list[int] = []
 
     @property
     def varmap(self) -> VarMap:
@@ -154,10 +156,11 @@ class SatEncoding:
         sum is that part's sequential counter).  A bound that no sum exceeds
         in size adds nothing and assumes nothing."""
         counters = [cardinality.SumCounter(parts, self.varmap) for parts in sums]
+        counted = self._counted = [lit for parts in sums for part in parts for lit in part]
 
         def assume(enc: SatEncoding, u: int) -> list[int]:
             if u == 0:
-                return [-lit for parts in sums for part in parts for lit in part]
+                return [-lit for lit in counted]
             lits = []
             for counter in counters:
                 clauses, lit = counter.at_most(u)
@@ -167,6 +170,13 @@ class SatEncoding:
             return lits
 
         self._bound_rule = (tag, assume)
+
+    def count(self, model: dict[int, bool]) -> int:
+        """How many literals that :meth:`at_most` bounds `model` makes true.
+        Under the assumptions of bound u a one-sum encoding's count is at
+        most u, so a model is worth its count: MaxSAT's violated soft units,
+        contension's b-assigned atoms (SC17)."""
+        return sum(model[abs(lit)] == (lit > 0) for lit in self._counted)
 
     def _record(self, tag: str, start: int) -> None:
         end = len(self.cnf.clauses)

@@ -12,10 +12,12 @@ Each search runs one :class:`_Session`: the KB is prepared once, the rules
 every bound shares are encoded once, and each probe appends only what its
 bound adds and is one SAT call under assumptions on the same instance, so
 the internal engine keeps what it learned from one probe to the next.
-MaxSAT (:func:`solve_maxsat`) runs on a session too, over the hard clauses
-and a counter of the violated soft units.  One driver, :func:`_drive`,
-runs all three searches; they differ only in the rule that picks the next
-bound and in what a model is worth.
+One driver, :func:`_drive`, runs every search; a search differs only in the
+rule that picks the next bound and in what a model is worth.  The maxsat
+pipeline is the contension search under MaxSAT's rule: one unbounded probe,
+then the upper midpoint, where a model is worth its count of b-assigned
+atoms.  :func:`solve_maxsat` runs that rule on a standalone MaxSAT instance,
+over its hard clauses and a counter of the violated soft units.
 
 ``compute`` is the one entry point: it dispatches a (measure, method) pair
 to the right pipeline, answers an empty KB, and reports phase timings split
@@ -25,7 +27,7 @@ into encoding generation, CNF transformation, solving, and everything else.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -42,7 +44,7 @@ from .solver import (
     fixed_false,
     solve,
 )
-from .values import INF, MEASURES, Value
+from .values import INF, INFINITY_MEASURES, MEASURES, Value
 
 METHODS = ("sat-binary", "sat-linear", "maxsat", "naive", "asp")
 
@@ -69,19 +71,19 @@ def search_range(measure: str, kb: KnowledgeBase) -> SearchRange:
     pkb = encodings.prepared(kb)
     n_atoms = len(pkb.signature())
     n_formulas = len(pkb)
-    if measure == "contension":
-        return SearchRange(measure, 0, n_atoms, False)
-    if measure == "forgetting":
-        return SearchRange(measure, 0, len(pkb.occurrences()), False)
-    if measure == "hitting-set":
-        return SearchRange(measure, 0, n_formulas - 1, True)
-    if measure == "max-distance":
-        return SearchRange(measure, 0, n_atoms, True)
-    if measure == "sum-distance":
-        return SearchRange(measure, 0, n_atoms * n_formulas, True)
-    if measure == "hit-distance":
-        return SearchRange(measure, 0, n_formulas, False)
-    raise ValueError(f"unknown measure {measure!r}")
+    if measure in ("contension", "max-distance"):
+        top = n_atoms
+    elif measure == "forgetting":
+        top = len(pkb.occurrences())
+    elif measure == "hitting-set":
+        top = n_formulas - 1
+    elif measure == "sum-distance":
+        top = n_atoms * n_formulas
+    elif measure == "hit-distance":
+        top = n_formulas
+    else:
+        raise ValueError(f"unknown measure {measure!r}")
+    return SearchRange(measure, 0, top, measure in INFINITY_MEASURES)
 
 
 @dataclass(frozen=True)
@@ -178,22 +180,41 @@ class _Session:
         return result.status is SolveStatus.SAT
 
 
-
-
 # A rule picks the next bound from the undecided range [lo, hi] and the
-# least value a model has met so far (None before the first model).
+# least value a model has met so far (None before the first model); a
+# valuation says what a model of the encoding found at a bound is worth.
+# (A type alias naming SatEncoding would be evaluated at import and cached
+# by `typing`, keeping every imported copy of the package alive.)
 _Rule = Callable[[int, int, int | None], int | None]
 
 
+def _bound_value(_enc: encodings.SatEncoding, bound: int | None,
+                 _model: dict[int, bool]) -> int:
+    """A satisfiable bound is itself the value it certifies."""
+    return bound
+
+
+def _count_value(enc: encodings.SatEncoding, _bound: int | None,
+                 model: dict[int, bool]) -> int:
+    """A model is worth its count of the literals the bound counts."""
+    return enc.count(model)
+
+
+_BINARY = (lambda lo, hi, _value: lo + (hi - lo) // 2, _bound_value)
+_LINEAR = (lambda lo, _hi, _value: lo, _bound_value)
+# one unbounded probe, then the upper midpoint of [lo, least count - 1]
+_MAXSAT = (lambda lo, hi, value: None if value is None else lo + (hi - lo + 1) // 2, _count_value)
+
+
 def _drive(session: _Session, lo: int, hi: int, next_bound: _Rule,
-           value_of: Callable[[int | None, dict[int, bool]], int],
+           value_of: Callable[[encodings.SatEncoding, int | None, dict[int, bool]], int],
            ) -> tuple[int | None, dict[int, bool] | None, tuple[int, int] | None]:
     """Probe `next_bound(lo, hi, value)` until the undecided range is empty.
 
-    A model moves hi below its value, ``value_of(bound, model)``; an
-    unsatisfiable probe moves lo above its bound, or past hi if unbounded.
-    Returns the least value a model met and that model (None if none did),
-    and the undecided range if a probe timed out."""
+    A model moves hi below its value, ``value_of(encoding, bound, model)``;
+    an unsatisfiable probe moves lo above its bound, or past hi if
+    unbounded.  Returns the least value a model met and that model (None if
+    none did), and the undecided range if a probe timed out."""
     value = model = None
     while lo <= hi:
         bound = next_bound(lo, hi, value)
@@ -202,22 +223,21 @@ def _drive(session: _Session, lo: int, hi: int, next_bound: _Rule,
             return value, model, (lo, hi)
         if verdict:
             model = session.model
-            value = value_of(bound, model)
+            value = value_of(session.enc, bound, model)
             hi = value - 1
         else:
             lo = hi + 1 if bound is None else bound + 1
     return value, model, None
 
 
-def _search(next_bound: _Rule, measure: str, kb: KnowledgeBase, cfg: RunConfig,
-            clock: _PhaseClock, deadline: float) -> tuple[Value | None, tuple[int, int] | None]:
-    """One binary or linear search, on the KB prepared once; a satisfiable
-    bound is itself the value it certifies."""
+def _search(next_bound: _Rule, value_of: Callable, measure: str, kb: KnowledgeBase,
+            cfg: RunConfig, clock: _PhaseClock, deadline: float,
+            ) -> tuple[Value | None, tuple[int, int] | None]:
+    """One search over the measure's range, on the KB prepared once."""
     pkb = encodings.prepare_kb(kb)
     session = _Session(lambda: encodings.encode(measure, pkb), cfg.backend, clock, deadline, pkb)
     rng = search_range(measure, pkb)
-    value, _model, undecided = _drive(session, rng.min, rng.max, next_bound,
-                                      lambda bound, _model: bound)
+    value, _model, undecided = _drive(session, rng.min, rng.max, next_bound, value_of)
     if undecided is not None:
         return None, undecided
     if value is not None:
@@ -248,13 +268,10 @@ def solve_maxsat(
     """Minimize the number of violated soft units.
 
     One session over a copy of the hard clauses (the caller's instance is
-    left as is) and a sequential counter over the violation literals: an
-    unbounded call, then the upper midpoint of the undecided range, where a
-    model's violation count is its value.  Under the assumptions for bound
-    u at most u violation literals hold, so a model's count never exceeds
-    its bound.  The session records into `clock`, when given: counter
-    growth as encoding, SAT calls as solving, and the calls and engine
-    counters.
+    left as is) and a sequential counter over the violation literals,
+    searched by MaxSAT's rule, as the maxsat pipeline searches contension.
+    The session records into `clock`, when given: counter growth as
+    encoding, SAT calls as solving, and the calls and engine counters.
     """
     cfg = cfg or BackendConfig()
 
@@ -266,41 +283,13 @@ def solve_maxsat(
         enc.at_most("soft", [[[-lit for lit in inst.soft_units]]])
         return enc
 
-    def cost(_bound: int | None, model: dict[int, bool]) -> int:
-        return sum(model[abs(lit)] != (lit > 0) for lit in inst.soft_units)
-
-    def unbounded_then_upper_midpoint(lo: int, hi: int, value: int | None) -> int | None:
-        return None if value is None else lo + (hi - lo + 1) // 2
-
     session = _Session(build, cfg, clock or _PhaseClock(), time.monotonic() + cfg.timeout)
-    value, model, undecided = _drive(session, 0, len(inst.soft_units),
-                                     unbounded_then_upper_midpoint, cost)
+    value, model, undecided = _drive(session, 0, len(inst.soft_units), *_MAXSAT)
     if undecided is not None:
         raise TimeoutError("MaxSAT search timed out")
     if model is None:
         raise HardClausesUnsatisfiableError("hard clauses are unsatisfiable")
     return value, {v: model[v] for v in range(1, inst.hard.num_vars + 1)}
-
-
-def _maxsat(measure: str, kb: KnowledgeBase, cfg: RunConfig,
-            clock: _PhaseClock, deadline: float) -> tuple[Value | None, None]:
-    begin = time.perf_counter()
-    inst = encodings.encode_contension_maxsat(kb)
-    elapsed = time.perf_counter() - begin
-    clock.acc["cnfTransform"] += inst.cnf_transform_seconds
-    clock.acc["encoding"] += elapsed - inst.cnf_transform_seconds
-    remaining = deadline - time.monotonic()
-    if remaining <= 0:
-        return None, None
-    try:
-        cost, _model = solve_maxsat(inst, replace(cfg.backend, timeout=remaining), clock)
-    except HardClausesUnsatisfiableError as exc:
-        raise MeasureUndefinedError(
-            "contension hard clauses unsatisfiable; a formula constant-folds to -"
-        ) from exc
-    except TimeoutError:
-        return None, None
-    return cost, None
 
 
 def _naive(measure: str, kb: KnowledgeBase, cfg: RunConfig,
@@ -330,9 +319,9 @@ def _asp(measure: str, kb: KnowledgeBase, cfg: RunConfig,
 
 
 _PIPELINES = {
-    "sat-binary": partial(_search, lambda lo, hi, _value: lo + (hi - lo) // 2),
-    "sat-linear": partial(_search, lambda lo, _hi, _value: lo),
-    "maxsat": _maxsat,
+    "sat-binary": partial(_search, *_BINARY),
+    "sat-linear": partial(_search, *_LINEAR),
+    "maxsat": partial(_search, *_MAXSAT),
     "naive": _naive,
     "asp": _asp,
 }

@@ -4,6 +4,9 @@
   extraction, either via the built-in CDCL engine, which stays with an
   append-only instance between calls, or an external DIMACS solver run as a
   subprocess, which gets the assumptions as unit clauses.
+* :func:`run_on_text` — the one bridge to an external solver binary, for
+  SAT and ASP alike: the input goes through a temp file, the run is cut at
+  the deadline.
 * :func:`fixed_false` — which of some literals the internal engine has
   found false in every model of the clauses (an external solver: none).
 * :func:`emit_dimacs` / :func:`emit_wcnf` / :func:`parse_solver_output` —
@@ -54,8 +57,7 @@ class SolverResult:
 
 @dataclass(frozen=True)
 class BackendConfig:
-    kind: str = "internal"  # "internal" | "external"
-    solver_path: str | None = None
+    solver_path: str | None = None  # an external DIMACS solver; None: the internal engine
     timeout: float = 600.0
 
     def __post_init__(self) -> None:
@@ -73,9 +75,6 @@ class SolverOutputError(RuntimeError):
 
 class HardClausesUnsatisfiableError(RuntimeError):
     """The hard part of a MaxSAT instance has no model."""
-
-
-SAT_SOLVER_ENV = "INCMETER_SAT_SOLVER"
 
 
 # ---------------------------------------------------------------------------
@@ -577,62 +576,61 @@ def parse_solver_output(text: str, num_vars: int) -> SolverResult:
     return SolverResult(SolveStatus.SAT, model)
 
 
-def _external_solver_path(cfg: BackendConfig) -> str:
-    path = cfg.solver_path or os.environ.get(SAT_SOLVER_ENV)
-    if not path:
-        raise BackendUnavailableError(
-            f"no external SAT solver configured (set {SAT_SOLVER_ENV})"
-        )
-    resolved = shutil.which(path) or (path if os.path.exists(path) else None)
-    if resolved is None:
-        raise BackendUnavailableError(f"SAT solver not found: {path!r}")
-    return resolved
+def find_binary(path: str) -> str | None:
+    """`path` as a command on PATH or as an existing file; None if neither."""
+    return shutil.which(path) or (path if os.path.exists(path) else None)
+
+
+def run_on_text(path: str, args: Sequence[str], text: str, suffix: str,
+                deadline: float) -> subprocess.CompletedProcess | None:
+    """Run the solver binary `path` as ``path *args FILE``, FILE a temp file
+    holding `text`, for the time left until `deadline` (a
+    ``time.monotonic()`` instant), and return the finished process.  None if
+    no time is left or the run is cut at the deadline (the child is killed
+    then).  Raises :class:`BackendUnavailableError` if the binary cannot be
+    found or started."""
+    binary = find_binary(path)
+    if binary is None:
+        raise BackendUnavailableError(f"solver not found: {path!r}")
+    timeout = deadline - time.monotonic()
+    if timeout <= 0:
+        return None
+    with tempfile.NamedTemporaryFile("w", suffix=suffix, prefix="incmeter_",
+                                     delete=False) as handle:
+        handle.write(text)
+    try:
+        return subprocess.run([binary, *args, handle.name], capture_output=True,
+                              text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return None
+    except OSError as exc:
+        raise BackendUnavailableError(f"failed to run {binary!r}: {exc}") from exc
+    finally:
+        os.unlink(handle.name)
 
 
 def solve_external(
     cnf: CnfInstance, cfg: BackendConfig, assumptions: Sequence[int], deadline: float
 ) -> SolverResult:
     """Run the configured DIMACS solver on `cnf` plus one unit clause per
-    assumption, for the time left until `deadline`."""
-    path = _external_solver_path(cfg)
-    timeout = deadline - time.monotonic()
-    if timeout <= 0:
-        return SolverResult(SolveStatus.TIMEOUT)
+    assumption, for the time left until `deadline`.  Without an ``s`` line,
+    exit code 20 reads as UNSAT."""
     units = [[lit] for lit in assumptions]
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".cnf", prefix="incmeter_", delete=False
-    ) as handle:
-        handle.write(emit_dimacs(CnfInstance(cnf.num_vars, cnf.clauses + units)))
-        cnf_path = handle.name
+    text = emit_dimacs(CnfInstance(cnf.num_vars, cnf.clauses + units))
+    proc = run_on_text(cfg.solver_path, [], text, ".cnf", deadline)
+    if proc is None:
+        return SolverResult(SolveStatus.TIMEOUT)
     try:
-        try:
-            proc = subprocess.run(
-                [path, cnf_path],
-                capture_output=True,
-                text=True,
-                timeout=timeout,
-            )
-        except subprocess.TimeoutExpired:
-            return SolverResult(SolveStatus.TIMEOUT)
-        except OSError as exc:
-            raise BackendUnavailableError(f"failed to run {path!r}: {exc}") from exc
-        try:
-            result = parse_solver_output(proc.stdout, cnf.num_vars)
-        except SolverOutputError:
-            # Fall back on the conventional exit codes.
-            if proc.returncode == 10:
-                raise
-            if proc.returncode == 20:
-                result = SolverResult(SolveStatus.UNSAT)
-            else:
-                raise
-        if result.status is SolveStatus.SAT:
-            assert result.model is not None
-            _verify_model(cnf, result.model, assumptions)
-        result.refuted = result.status is SolveStatus.UNSAT and not units
-        return result
-    finally:
-        os.unlink(cnf_path)
+        result = parse_solver_output(proc.stdout, cnf.num_vars)
+    except SolverOutputError:
+        if proc.returncode != 20:
+            raise
+        result = SolverResult(SolveStatus.UNSAT)
+    if result.status is SolveStatus.SAT:
+        assert result.model is not None
+        _verify_model(cnf, result.model, assumptions)
+    result.refuted = result.status is SolveStatus.UNSAT and not units
+    return result
 
 
 def solve(
@@ -645,16 +643,15 @@ def solve(
     true.  `cnf` is append-only: clauses may be added between calls, and the
     internal backend then loads only those.  The call ends by `deadline` (a
     ``time.monotonic()`` instant) if one is given, else within the
-    configured timeout."""
+    configured timeout.  The backend is external iff a solver path is
+    configured."""
     if cfg is None:
         cfg = BackendConfig()
     if deadline is None:
         deadline = time.monotonic() + cfg.timeout
-    if cfg.kind == "internal":
+    if cfg.solver_path is None:
         return solve_internal(cnf, deadline, assumptions)
-    if cfg.kind == "external":
-        return solve_external(cnf, cfg, assumptions, deadline)
-    raise ValueError(f"unknown backend kind {cfg.kind!r}")
+    return solve_external(cnf, cfg, assumptions, deadline)
 
 
 def fixed_false(cnf: CnfInstance, lits: Sequence[int]) -> list[int]:

@@ -238,6 +238,17 @@ def test_solve_asp_env_variable(fake_asp_solver, k4, monkeypatch):
     assert report.status == "optimal"
 
 
+def test_solve_asp_timeout_kills_a_sleeping_solver(sleepy_solver, k4):
+    """A solver that never answers is cut at the limit, plus a little slack
+    for starting and killing the child."""
+    import time
+
+    begin = time.monotonic()
+    report = solve_asp(emit_asp("contension", k4), solver_path=sleepy_solver, timeout=0.3)
+    assert report.status == "timeout"
+    assert time.monotonic() - begin < 0.3 + 1.0
+
+
 def test_asp_time_limit_includes_emission(fake_asp_solver, k4, monkeypatch):
     """A program emitted slower than the whole limit ends the run on the
     limit without starting the solver."""

@@ -172,14 +172,23 @@ def test_run_matrix_records_backend_errors(k4, tmp_path):
         cfg=RunConfig(asp_solver=str(tmp_path / "no-such-clingo")),
     )
     assert {r.method: r.status for r in records} == {"sat-binary": "ok", "asp": "backend-error"}
-    external = RunConfig(backend=BackendConfig(kind="external", solver_path=str(garbled)))
+    external = RunConfig(backend=BackendConfig(solver_path=str(garbled)))
     records = run_matrix([("k4", k4)], ["contension"], ["sat-linear", "naive"], 60, cfg=external)
     assert {r.method: r.status for r in records} == {"sat-linear": "backend-error", "naive": "ok"}
     assert not records[0].solved and not records[0].timed_out
 
 
+def test_cells_are_judged_against_the_limit_they_ran_under(k7):
+    """The run config's timeout is the one limit: a tiny `timeout_seconds`
+    beside it neither cuts nor marks a cell that finished under it."""
+    records = run_matrix([("k7", k7)], ["contension"], ["sat-binary", "naive"], 1e-9,
+                         cfg=RunConfig())
+    assert {r.method: (r.status, r.value) for r in records} == {
+        "sat-binary": ("ok", 1), "naive": ("ok", 1)}
+
+
 def test_timeout_rows_carry_the_remaining_bounds(k7, sleepy_solver, tmp_path):
-    backend = BackendConfig(kind="external", solver_path=sleepy_solver, timeout=0.5)
+    backend = BackendConfig(solver_path=sleepy_solver, timeout=0.5)
     records = run_matrix(
         [("k7", k7)], ["hit-distance"], ["sat-binary", "naive"], 0.5,
         cfg=RunConfig(backend=backend),

@@ -211,6 +211,21 @@ def test_timeout_exit_code(kb_file, capsys):
     )
     assert code == 3
     assert out.splitlines()[0] == "timeout"
+    assert json.loads("\n".join(out.splitlines()[1:]))["bounds"] == [0, 2]
+
+
+def test_sat_solver_env_selects_the_backend(kb_file, fake_solver, capsys, monkeypatch):
+    """$INCMETER_SAT_SOLVER is the default of --sat-solver: a missing binary is
+    a backend failure, and a working one answers without the internal engine."""
+    path = kb_file("k7.kb", "x&&y\nx||y\n!x\n")
+    monkeypatch.setenv("INCMETER_SAT_SOLVER", "/nonexistent/sat")
+    code, _, err = run_cli(capsys, "measure", "--measure", "contension", path)
+    assert code == 2 and "backend" in err
+    monkeypatch.setenv("INCMETER_SAT_SOLVER", fake_solver)
+    code, out, _ = run_cli(capsys, "measure", "--measure", "contension", path)
+    assert code == 0 and out.splitlines()[0] == "1"
+    payload = json.loads("\n".join(out.splitlines()[1:]))
+    assert set(payload["engineCounters"].values()) == {0}
 
 
 def test_measure_with_external_sat_solver(kb_file, fake_solver, capsys):

@@ -247,7 +247,7 @@ def test_maxsat_leaves_the_instance_alone(k7):
 
 
 def test_external_backend_takes_assumptions_as_units(fake_solver):
-    cfg = BackendConfig(kind="external", solver_path=fake_solver, timeout=60)
+    cfg = BackendConfig(solver_path=fake_solver, timeout=60)
     cnf = CnfInstance(3, [[1, 2], [-1, 3]])
     for assumptions in ([], [1], [1, -3], [-1, -2]):
         ext = solve(cnf, cfg, assumptions)
@@ -731,7 +731,7 @@ def test_external_backend_never_settles(monkeypatch, fake_solver, k7):
     """An external solver reports no level-0 facts: no session settles, and
     the value and solver calls are those of the internal engine."""
     seen = _recording_probes(monkeypatch)
-    cfg = search.RunConfig(BackendConfig(kind="external", solver_path=fake_solver, timeout=60))
+    cfg = search.RunConfig(BackendConfig(solver_path=fake_solver, timeout=60))
     for kb in (_with_unsat_formula(k7, "first"), k7):
         for runner in (binary_search, linear_search):
             seen.clear()

@@ -176,7 +176,7 @@ def test_infinity_only_with_contradictory_member():
                 assert not has_contradiction, (kb_id, measure)
 
 
-@pytest.mark.parametrize("method", ["sat-binary", "sat-linear"])
+@pytest.mark.parametrize("method", ["sat-binary", "sat-linear", "maxsat"])
 def test_timeout_carries_the_undecided_range(k7, method):
     """A limit that ends the run before its first call leaves the whole
     range [0, |atoms|] of contension on K7 undecided."""
@@ -239,14 +239,14 @@ def test_method_list_is_exact():
 
 @pytest.mark.parametrize("method", ["sat-binary", "sat-linear"])
 def test_timed_out_sat_call_is_counted(k7, sleepy_solver, method):
-    backend = BackendConfig(kind="external", solver_path=sleepy_solver, timeout=0.5)
+    backend = BackendConfig(solver_path=sleepy_solver, timeout=0.5)
     out = compute("hit-distance", k7, method, RunConfig(backend=backend))
     assert out.status == "timeout"
     assert out.solver_calls == 1
 
 
 def test_timed_out_maxsat_call_is_counted(k7, sleepy_solver):
-    backend = BackendConfig(kind="external", solver_path=sleepy_solver, timeout=0.5)
+    backend = BackendConfig(solver_path=sleepy_solver, timeout=0.5)
     out = compute("contension", k7, "maxsat", RunConfig(backend=backend))
     assert out.status == "timeout"
     assert out.solver_calls == 1

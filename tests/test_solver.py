@@ -191,7 +191,7 @@ def test_emit_wcnf_header_and_weights():
 # --- external backend ------------------------------------------------------
 
 def test_external_backend_round_trip(fake_solver):
-    cfg = BackendConfig(kind="external", solver_path=fake_solver, timeout=60)
+    cfg = BackendConfig(solver_path=fake_solver, timeout=60)
     sat = solve(CnfInstance(2, [[1, 2], [-1]]), cfg)
     assert sat.status is SolveStatus.SAT and sat.model == {1: False, 2: True}
     unsat = solve(CnfInstance(1, [[1], [-1]]), cfg)
@@ -199,7 +199,7 @@ def test_external_backend_round_trip(fake_solver):
 
 
 def test_external_backend_agreement_randomized(fake_solver):
-    cfg = BackendConfig(kind="external", solver_path=fake_solver, timeout=60)
+    cfg = BackendConfig(solver_path=fake_solver, timeout=60)
     rng = random.Random(21)
     for _ in range(10):
         cnf = _random_cnf(rng, max_vars=8)
@@ -211,7 +211,7 @@ def test_external_backend_agreement_on_measure_encodings(fake_solver, k4, k7):
     from incmeter.search import search_range
     from incmeter.values import MEASURES
 
-    cfg = BackendConfig(kind="external", solver_path=fake_solver, timeout=60)
+    cfg = BackendConfig(solver_path=fake_solver, timeout=60)
     for kb in (k4, k7):
         for measure in MEASURES:
             rng = search_range(measure, kb)
@@ -221,19 +221,33 @@ def test_external_backend_agreement_on_measure_encodings(fake_solver, k4, k7):
 
 
 def test_external_backend_missing():
-    cfg = BackendConfig(kind="external", solver_path="/nonexistent/sat", timeout=5)
+    cfg = BackendConfig(solver_path="/nonexistent/sat", timeout=5)
     with pytest.raises(BackendUnavailableError):
         solve(CnfInstance(1, [[1]]), cfg)
 
 
-def test_external_backend_env_fallback(fake_solver, monkeypatch):
-    monkeypatch.setenv("INCMETER_SAT_SOLVER", fake_solver)
-    cfg = BackendConfig(kind="external", timeout=60)
-    assert solve(CnfInstance(1, [[1]]), cfg).is_sat
+def _exiting_solver(tmp_path, code):
+    """A DIMACS solver that prints no status line and exits with `code`."""
+    script = tmp_path / f"exit{code}sat"
+    script.write_text(f"#!/bin/sh\necho c no verdict here\nexit {code}\n")
+    script.chmod(0o755)
+    return str(script)
+
+
+def test_external_exit_code_20_without_status_line_is_unsat(tmp_path):
+    cfg = BackendConfig(solver_path=_exiting_solver(tmp_path, 20), timeout=60)
+    res = solve(CnfInstance(1, [[1], [-1]]), cfg)
+    assert res.status is SolveStatus.UNSAT and res.refuted
+
+
+def test_external_exit_code_10_without_status_line_is_an_output_error(tmp_path):
+    cfg = BackendConfig(solver_path=_exiting_solver(tmp_path, 10), timeout=60)
+    with pytest.raises(SolverOutputError):
+        solve(CnfInstance(1, [[1]]), cfg)
 
 
 def test_external_backend_timeout_kills_process(sleepy_solver):
-    cfg = BackendConfig(kind="external", solver_path=sleepy_solver, timeout=0.2)
+    cfg = BackendConfig(solver_path=sleepy_solver, timeout=0.2)
     res = solve(CnfInstance(1, [[1]]), cfg)
     assert res.status is SolveStatus.TIMEOUT
 
