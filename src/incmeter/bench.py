@@ -143,6 +143,9 @@ class BenchRecord:
     # an outcome ("cap", "undefined", "backend-error")
     engine_counters: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(ENGINE_COUNTERS, 0))
+    # the time limit the cell ran under; the scatter CSVs pin an unfinished
+    # run at it
+    limit_seconds: float = BackendConfig.timeout
 
     def __post_init__(self) -> None:
         if not self.status:
@@ -177,6 +180,7 @@ def _record(kb_id: str, outcome: SearchOutcome, timeout: float) -> BenchRecord:
         "timeout" if timed_out else "ok",
         outcome.bounds if timed_out else None,
         dict(outcome.engine_counters),
+        timeout,
     )
 
 
@@ -214,7 +218,8 @@ def run_matrix(
                       else "undefined" if isinstance(exc, MeasureUndefinedError)
                       else "backend-error")
             elapsed = time.perf_counter() - begin
-            return BenchRecord(kb_id, measure, method, None, elapsed, {}, 0, status)
+            return BenchRecord(kb_id, measure, method, None, elapsed, {}, 0, status,
+                               limit_seconds=cfg.timeout)
         return _record(kb_id, outcome, cfg.timeout)
 
     if workers <= 1:
@@ -257,10 +262,9 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
         writer.writerows(rows)
 
 
-def emit_reports(
-    records: Sequence[BenchRecord], out_dir: str | Path, timeout_seconds: float = 600.0
-) -> list[str]:
-    """Write results/cactus/scatter/summary CSV files; returns their paths."""
+def emit_reports(records: Sequence[BenchRecord], out_dir: str | Path) -> list[str]:
+    """Write results/cactus/scatter/summary CSV files; returns their paths.
+    A scatter CSV gives an unfinished run the time limit its cell ran under."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
@@ -316,8 +320,8 @@ def emit_reports(
                 rows = []
                 for kb_id in sorted(set(methods_map[m1]) & set(methods_map[m2])):
                     r1, r2 = methods_map[m1][kb_id], methods_map[m2][kb_id]
-                    t1 = r1.total_seconds if r1.solved else timeout_seconds
-                    t2 = r2.total_seconds if r2.solved else timeout_seconds
+                    t1 = r1.total_seconds if r1.solved else r1.limit_seconds
+                    t2 = r2.total_seconds if r2.solved else r2.limit_seconds
                     rows.append([kb_id, f"{t1:.6f}", f"{t2:.6f}"])
                 scatter = out / f"scatter_{measure}_{m1}_vs_{m2}.csv"
                 _write_csv(scatter, ["kb_id", f"{m1}_seconds", f"{m2}_seconds"], rows)

@@ -206,7 +206,7 @@ def _cmd_bench(args) -> int:
     records = bench.run_matrix(
         kbs, measures, methods, args.timeout, args.workers, _run_config(args)
     )
-    written = bench.emit_reports(records, args.out, args.timeout)
+    written = bench.emit_reports(records, args.out)
     timeouts = sum(1 for r in records if r.timed_out)
     backend_errors = sum(1 for r in records if r.status == "backend-error")
     not_run = sum(1 for r in records if r.status in ("cap", "undefined"))

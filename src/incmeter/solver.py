@@ -98,7 +98,13 @@ class _Cdcl:
 
     Truth values and watch lists are indexed by literal: entry ``v`` holds
     literal v and entry ``-v`` (read from the end of the list) literal -v,
-    so ``assign[v]`` is also variable v's value.
+    so ``assign[v]`` is also variable v's value.  As in MiniSat, the trail
+    index at which each level above 0 opened is kept, so a backtrack undoes
+    one slice of the trail.  Loading takes a 2- or 3-literal clause of free,
+    distinct variables as it stands, with no marks; every other clause is
+    simplified against the level-0 facts first.  None of this enters the
+    search: the same calls give the same decisions, propagations, conflicts,
+    learned clauses, restarts and models.
     """
 
     CHECK_EVERY = 2048  # ticks (propagated literals, decisions, loaded clauses)
@@ -124,6 +130,7 @@ class _Cdcl:
         self.bumped: list[int] = []  # variables of positive activity
         self.cursor = 1
         self.trail: list[int] = []
+        self.lim: list[int] = []  # lim[k]: the trail index where level k + 1 opened
         self.qhead = 0
         self.loaded = 0  # clauses of the instance added so far
         self.deadline: float | None = None
@@ -132,21 +139,18 @@ class _Cdcl:
         # work of the current call
         self.decisions = self.propagations = self.conflicts = self.restarts = 0
 
-    def _tick(self) -> None:
-        """Count one unit of work; past the deadline, end the call."""
-        self.ticks += 1
-        if self.deadline is not None and self.ticks % self.CHECK_EVERY == 0:
-            if time.monotonic() > self.deadline:
-                self.ticks -= 1  # the unit cut off is not done
-                raise _DeadlineReached
-
     def _enqueue(self, lit: int, reason: list[int] | None, level: int) -> None:
-        var = abs(lit)
+        """Assign `lit` at `level`, opening that level, and any below it
+        that is not open yet, at the end of the trail."""
+        trail, lim = self.trail, self.lim
+        while len(lim) < level:
+            lim.append(len(trail))
+        var = lit if lit > 0 else -lit
         self.assign[lit] = 1
         self.assign[-lit] = -1
         self.level[var] = level
         self.reason[var] = reason
-        self.trail.append(lit)
+        trail.append(lit)
 
     def load(self, cnf: CnfInstance) -> None:
         """Add the variables and clauses appended to `cnf` since the last call."""
@@ -168,19 +172,43 @@ class _Cdcl:
         # Each clause is simplified against the level-0 facts: repeated and
         # false literals dropped, satisfied or tautological clauses skipped,
         # a unit enqueued at level 0, an empty clause refuting the instance.
+        # A clause of two or three free literals on distinct variables needs
+        # none of that and is stored as it stands.
         clauses, end = cnf.clauses, len(cnf.clauses)
         assign, seen, watches = self.assign, self.seen, self.watches
-        deadline, check = self.deadline, self.CHECK_EVERY
         ticks = self.ticks
+        check = self.CHECK_EVERY
+        # the clock is read on every tick that is a multiple of CHECK_EVERY
+        check_at = -1 if self.deadline is None else (ticks // check + 1) * check
         i = self.loaded if self.ok else end  # a refuted engine takes no more clauses
         while i < end:
             ticks += 1
-            if deadline is not None and ticks % check == 0 and time.monotonic() > deadline:
-                self.loaded, self.ticks = i, ticks - 1  # clause i neither loaded nor counted
-                raise _DeadlineReached
-            clause: list[int] = []
+            if ticks == check_at:
+                if time.monotonic() > self.deadline:
+                    self.loaded, self.ticks = i, ticks - 1  # clause i neither loaded nor counted
+                    raise _DeadlineReached
+                check_at += check
+            clause = clauses[i]
+            i += 1
+            width = len(clause)
+            if width == 2:
+                a, b = clause
+                if not assign[a] and not assign[b] and a != b and a != -b:
+                    clause = [a, b]
+                    watches[-a].append(clause)
+                    watches[-b].append(clause)
+                    continue
+            elif width == 3:
+                a, b, c = clause
+                if (not assign[a] and not assign[b] and not assign[c]
+                        and a != b and a != -b and a != c and a != -c and b != c and b != -c):
+                    clause = [a, b, c]
+                    watches[-a].append(clause)
+                    watches[-b].append(clause)
+                    continue
+            kept: list[int] = []
             skip = False
-            for lit in clauses[i]:
+            for lit in clause:
                 var, mark = (lit, 1) if lit > 0 else (-lit, 2)
                 if seen[var]:
                     if seen[var] != mark:
@@ -193,17 +221,16 @@ class _Cdcl:
                     break
                 if val == 0:
                     seen[var] = mark
-                    clause.append(lit)
-            i += 1
-            for lit in clause:
+                    kept.append(lit)
+            for lit in kept:
                 seen[lit if lit > 0 else -lit] = 0
             if skip:
                 continue
-            if len(clause) > 1:
-                watches[-clause[0]].append(clause)
-                watches[-clause[1]].append(clause)
-            elif clause:
-                self._enqueue(clause[0], None, 0)
+            if len(kept) > 1:
+                watches[-kept[0]].append(kept)
+                watches[-kept[1]].append(kept)
+            elif kept:
+                self._enqueue(kept[0], None, 0)
             else:
                 self.ok = False
                 break
@@ -214,73 +241,93 @@ class _Cdcl:
         if one arises.  Each watch list is compacted in place."""
         assign, watches, trail = self.assign, self.watches, self.trail
         levels, reasons = self.level, self.reason
-        deadline, check = self.deadline, self.CHECK_EVERY
         qhead = start = self.qhead
         ticks = self.ticks
-        conflict = None
+        base = ticks - start  # the ticks once the literals before qhead are propagated
+        # The clock is read on every tick that is a multiple of CHECK_EVERY,
+        # before propagating the literal that tick counts: at qhead == check_at.
+        check = self.CHECK_EVERY
+        check_at = -1 if self.deadline is None else (ticks // check + 1) * check - base - 1
         while qhead < len(trail):
-            ticks += 1
-            if deadline is not None and ticks % check == 0 and time.monotonic() > deadline:
-                self.qhead, self.ticks = qhead, ticks - 1  # literal qhead not propagated
-                self.propagations += qhead - start
-                raise _DeadlineReached
+            if qhead == check_at:
+                if time.monotonic() > self.deadline:
+                    self.qhead, self.ticks = qhead, base + qhead  # literal qhead not propagated
+                    self.propagations += qhead - start
+                    raise _DeadlineReached
+                check_at += check
             lit = trail[qhead]
             qhead += 1
             ws = watches[lit]
+            if not ws:
+                continue
             false_lit = -lit
-            i = j = 0
-            end = len(ws)
-            while i < end:
-                clause = ws[i]
-                i += 1
+            j = moved = 0  # clauses kept, clauses moved to another watch list
+            for clause in ws:
                 # Normalize: watched literals sit at positions 0 and 1.
                 first = clause[0]
                 if first == false_lit:
                     first = clause[1]
                     clause[0], clause[1] = first, false_lit
                 val = assign[first]
-                if val <= 0:
-                    for k in range(2, len(clause)):
+                if val > 0:
+                    ws[j] = clause
+                    j += 1
+                    continue
+                width = len(clause)
+                if width > 2:
+                    for k in range(2, width):
                         other = clause[k]
                         if assign[other] >= 0:
-                            clause[1], clause[k] = other, false_lit
-                            watches[-other].append(clause)
                             break
-                    else:  # no other literal to watch: unit or conflicting
-                        ws[j] = clause
-                        j += 1
-                        if val < 0:
-                            conflict = clause
-                            break
-                        assign[first] = 1
-                        assign[-first] = -1
-                        var = first if first > 0 else -first
-                        levels[var] = level
-                        reasons[var] = clause
-                        trail.append(first)
-                    continue
+                    else:
+                        k = 0  # every other literal is false
+                    if k:
+                        clause[1], clause[k] = other, false_lit
+                        watches[-other].append(clause)
+                        moved += 1
+                        continue
+                # no other literal to watch: unit or conflicting
                 ws[j] = clause
                 j += 1
-            del ws[j:i]
-            if conflict is not None:
-                break
-        self.qhead, self.ticks = qhead, ticks
+                if val < 0:
+                    break
+                assign[first] = 1
+                assign[-first] = -1
+                var = first if first > 0 else -first
+                levels[var] = level
+                reasons[var] = clause
+                trail.append(first)
+            else:
+                if moved:
+                    del ws[j:]
+                continue
+            if moved:  # the clauses after the conflicting one stay
+                del ws[j:j + moved]
+            self.qhead, self.ticks = qhead, base + qhead
+            self.propagations += qhead - start
+            return clause
+        self.qhead, self.ticks = qhead, base + qhead
         self.propagations += qhead - start
-        return conflict
+        return None
 
     def _bump(self, var: int) -> None:
+        """Raise var's activity by the increment (the rule `_analyze` inlines)."""
         activity = self.activity
         if activity[var] == 0.0:
             self.bumped.append(var)
         activity[var] += self.act_inc
         if activity[var] > 1e100:
-            for v in self.bumped:
-                activity[v] *= 1e-100
-            self.act_inc *= 1e-100
-            self._rebuild_heap()
+            self._rescale()
         else:
             heapq.heappush(self.heap, (-activity[var], var))
             self.in_heap[var] = 1
+
+    def _rescale(self) -> None:
+        activity = self.activity
+        for v in self.bumped:
+            activity[v] *= 1e-100
+        self.act_inc *= 1e-100
+        self._rebuild_heap()
 
     def _rebuild_heap(self) -> None:
         """Requeue every free variable of positive activity, dropping stale
@@ -303,6 +350,9 @@ class _Cdcl:
     def _analyze(self, conflict: list[int], level: int) -> tuple[list[int], int]:
         learned = [0]
         seen, levels, trail, reasons = self.seen, self.level, self.trail, self.reason
+        activity, heap, in_heap, bumped = self.activity, self.heap, self.in_heap, self.bumped
+        inc = self.act_inc
+        heappush = heapq.heappush
         counter = 0
         lit0 = 0
         reason = conflict
@@ -311,61 +361,94 @@ class _Cdcl:
             for lit in reason:
                 if lit == lit0:
                     continue  # the implied literal of its own reason clause
-                var = abs(lit)
+                var = lit if lit > 0 else -lit
                 if not seen[var] and levels[var] > 0:
                     seen[var] = 1
-                    self._bump(var)
+                    # _bump, inlined
+                    act = activity[var]
+                    if act == 0.0:
+                        bumped.append(var)
+                    act += inc
+                    activity[var] = act
+                    if act > 1e100:
+                        self._rescale()
+                        heap, inc, bumped = self.heap, self.act_inc, self.bumped
+                    else:
+                        heappush(heap, (-act, var))
+                        in_heap[var] = 1
                     if levels[var] >= level:
                         counter += 1
                     else:
                         learned.append(lit)
-            while not seen[abs(trail[idx])]:
-                idx -= 1
             lit0 = trail[idx]
-            seen[abs(lit0)] = 0
+            while not seen[lit0 if lit0 > 0 else -lit0]:
+                idx -= 1
+                lit0 = trail[idx]
+            var = lit0 if lit0 > 0 else -lit0
+            seen[var] = 0
             idx -= 1
             counter -= 1
             if counter == 0:
                 break
-            reason = reasons[abs(lit0)] or []
+            reason = reasons[var] or []
         learned[0] = -lit0
         for lit in learned[1:]:
-            seen[abs(lit)] = 0
+            seen[lit if lit > 0 else -lit] = 0
         back_level = 0
         if len(learned) > 1:
-            max_i = 1
+            lit = learned[1]
+            max_i, back_level = 1, levels[lit if lit > 0 else -lit]
             for i in range(2, len(learned)):
-                if levels[abs(learned[i])] > levels[abs(learned[max_i])]:
-                    max_i = i
+                lit = learned[i]
+                lit_level = levels[lit if lit > 0 else -lit]
+                if lit_level > back_level:
+                    max_i, back_level = i, lit_level
             learned[1], learned[max_i] = learned[max_i], learned[1]
-            back_level = levels[abs(learned[1])]
         # Keep the compaction cost linear in the pushes that made the garbage.
-        if len(self.heap) > 2 * len(self.bumped) + 1024:
+        if len(heap) > 2 * len(bumped) + 1024:
             self._rebuild_heap()
         return learned, back_level
 
     def _backtrack(self, back_level: int) -> None:
-        trail, level, assign = self.trail, self.level, self.assign
-        activity, in_heap = self.activity, self.in_heap
-        saved, reason, heap = self.saved, self.reason, self.heap
-        while trail and level[abs(trail[-1])] > back_level:
-            lit = trail.pop()
-            var = abs(lit)
-            saved[var] = lit > 0
+        """Undo every level above `back_level`, last literal first."""
+        lim = self.lim
+        if len(lim) <= back_level:
+            return
+        start = lim[back_level]
+        del lim[back_level:]
+        trail, assign, saved, reason = self.trail, self.assign, self.saved, self.reason
+        activity, in_heap, heap = self.activity, self.in_heap, self.heap
+        cursor = self.cursor
+        for lit in reversed(trail[start:]):
+            if lit > 0:
+                var = lit
+                saved[var] = True
+            else:
+                var = -lit
+                saved[var] = False
             assign[lit] = assign[-lit] = 0
             reason[var] = None
-            if activity[var] > 0.0:
+            act = activity[var]
+            if act > 0.0:
                 if not in_heap[var]:
-                    heapq.heappush(heap, (-activity[var], var))
+                    heapq.heappush(heap, (-act, var))
                     in_heap[var] = 1
-            elif var < self.cursor:
-                self.cursor = var
-        self.qhead = min(self.qhead, len(trail))
+            elif var < cursor:
+                cursor = var
+        del trail[start:]
+        self.cursor = cursor
+        if self.qhead > start:
+            self.qhead = start
 
     def _decide(self) -> int:
         """The free variable of highest activity, lowest index first; 0 if
-        every variable is assigned."""
-        self._tick()
+        every variable is assigned.  Counts one tick; past the deadline,
+        ends the call."""
+        self.ticks += 1
+        if (self.deadline is not None and self.ticks % self.CHECK_EVERY == 0
+                and time.monotonic() > self.deadline):
+            self.ticks -= 1  # the decision cut off is not made
+            raise _DeadlineReached
         heap, activity, assign = self.heap, self.activity, self.assign
         while heap:
             key, var = heapq.heappop(heap)

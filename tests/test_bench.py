@@ -144,7 +144,7 @@ def test_run_matrix_records_cap_and_undefined_cells(tmp_path):
     assert status[("cap10", "hitting-set", "sat-binary")] == "ok"
     assert status[("bottom", "contension", "sat-binary")] == "undefined"
     assert status[("bottom", "hitting-set", "naive")] == "ok"
-    emit_reports(records, tmp_path, timeout_seconds=60)
+    emit_reports(records, tmp_path)
     rows = _read(tmp_path / "results.csv")
     assert rows[0][3:5] == ["status", "value"]
     by_cell = {tuple(row[:3]): row[3:5] for row in rows[1:]}
@@ -197,7 +197,7 @@ def test_timeout_rows_carry_the_remaining_bounds(k7, sleepy_solver, tmp_path):
     assert by_method["sat-binary"].status == "timeout"
     assert by_method["sat-binary"].bounds == (0, 3)  # the first probe never answered
     assert by_method["naive"].status == "ok" and by_method["naive"].bounds is None
-    emit_reports(records, tmp_path, timeout_seconds=0.5)
+    emit_reports(records, tmp_path)
     rows = _read(tmp_path / "results.csv")
     assert rows[0][-2:] == ["bounds_lo", "bounds_hi"]
     by_row = {row[2]: row[-2:] for row in rows[1:]}
@@ -212,7 +212,7 @@ def test_result_rows_carry_the_engine_counters(k7, tmp_path):
         [("k7", k7), ("cap10", over_cap)], ["contension", "hitting-set"],
         ["sat-binary", "maxsat", "naive"], 60,
     )
-    emit_reports(records, tmp_path, timeout_seconds=60)
+    emit_reports(records, tmp_path)
     rows = _read(tmp_path / "results.csv")
     columns = rows[0].index("decisions")
     assert rows[0][columns:] == [*ENGINE_COUNTERS, "bounds_lo", "bounds_hi"]
@@ -248,7 +248,7 @@ def test_emit_reports_counts_timeouts(tmp_path):
         BenchRecord("d", "contension", "sat-binary", 0, 0.25, {}, 1),
         BenchRecord("e", "contension", "sat-binary", 2, 0.75, {}, 3),
     ]
-    emit_reports(records, tmp_path, timeout_seconds=9.0)
+    emit_reports(records, tmp_path)
     summary = _read(tmp_path / "summary.csv")
     assert summary[1] == ["contension", "sat-binary", "5", "3", "2", "1.500000"]
 
@@ -260,7 +260,7 @@ def test_cactus_sorted_and_excludes_timeouts(tmp_path):
         BenchRecord("c", "contension", "naive", None, 5.0, {}, 1),
         BenchRecord("d", "contension", "naive", 1, 0.4, {}, 1),
     ]
-    emit_reports(records, tmp_path, timeout_seconds=5.0)
+    emit_reports(records, tmp_path)
     rows = _read(tmp_path / "cactus_contension_naive.csv")[1:]
     seconds = [float(r[1]) for r in rows]
     assert len(rows) == 3
@@ -270,12 +270,31 @@ def test_cactus_sorted_and_excludes_timeouts(tmp_path):
 def test_scatter_pins_timeouts(tmp_path):
     records = [
         BenchRecord("a", "contension", "naive", 1, 0.9, {}, 1),
-        BenchRecord("a", "contension", "sat-binary", None, 33.0, {}, 1),
+        BenchRecord("a", "contension", "sat-binary", None, 33.0, {}, 1, limit_seconds=10.0),
     ]
-    emit_reports(records, tmp_path, timeout_seconds=10.0)
+    emit_reports(records, tmp_path)
     rows = _read(tmp_path / "scatter_contension_naive_vs_sat-binary.csv")
     assert rows[0] == ["kb_id", "naive_seconds", "sat-binary_seconds"]
     assert rows[1] == ["a", "0.900000", "10.000000"]
+
+
+def test_scatter_pins_a_timeout_at_its_own_limit(tmp_path):
+    """An unfinished run is pinned at the limit its record carries, with no
+    limit passed to emit_reports."""
+    records = [
+        BenchRecord("a", "contension", "naive", 1, 0.2, {}, 1, limit_seconds=0.6),
+        BenchRecord("a", "contension", "sat-binary", None, 0.61, {}, 1, "timeout", (0, 2),
+                    limit_seconds=0.6),
+    ]
+    emit_reports(records, tmp_path)
+    rows = _read(tmp_path / "scatter_contension_naive_vs_sat-binary.csv")
+    assert rows[1] == ["a", "0.200000", "0.600000"]
+
+
+def test_matrix_records_carry_their_limit(k4):
+    assert {r.limit_seconds for r in run_matrix([("k4", k4)], ["contension"], ["sat-binary"], 7)} == {7}
+    rec = run_matrix([("k4", k4)], ["contension"], ["naive"], 60, cfg=RunConfig(BackendConfig(timeout=3)))[0]
+    assert rec.limit_seconds == 3
 
 
 def test_matrix_records_carry_phase_times(k4):

@@ -2,6 +2,7 @@
 and search sessions that probe one instance."""
 
 import gc
+import heapq
 import itertools
 import random
 import time
@@ -115,6 +116,84 @@ def test_heap_decision_equals_scan(sequence):
                 level += 1
                 engine._enqueue(-want, None, level)
     assert engine._decide() == _scan_decision(engine)
+
+
+def _reference_backtrack(engine, back_level):
+    """The backtrack written as a per-literal loop: pop while the last
+    literal's level is above `back_level`."""
+    trail = engine.trail
+    while trail and engine.level[abs(trail[-1])] > back_level:
+        lit = trail.pop()
+        var = abs(lit)
+        engine.saved[var] = lit > 0
+        engine.assign[lit] = engine.assign[-lit] = 0
+        engine.reason[var] = None
+        if engine.activity[var] > 0.0:
+            if not engine.in_heap[var]:
+                heapq.heappush(engine.heap, (-engine.activity[var], var))
+                engine.in_heap[var] = 1
+        elif var < engine.cursor:
+            engine.cursor = var
+    engine.qhead = min(engine.qhead, len(trail))
+    del engine.lim[back_level:]  # so that the next enqueue opens its level
+
+
+trail_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("bump"), st.integers(1, 12)),
+        # a literal at the current level (with a reason; at level 0, a
+        # fact), at the next level, or past an empty level, as an assumption
+        # that already holds leaves
+        st.tuples(st.sampled_from(["imply", "open", "skip"]), st.integers(-12, 12).filter(bool)),
+        st.tuples(st.just("backtrack"), st.integers(0, 8)),
+        st.tuples(st.just("decide"), st.booleans()),
+        st.tuples(st.just("propagated"), st.just(0)),
+    ),
+    max_size=150,
+)
+
+
+@given(trail_ops)
+def test_backtrack_by_level_boundaries_equals_per_literal_loop(sequence):
+    """Random enqueue, backtrack and decide sequences: undoing the trail from
+    each level's boundary leaves the trail, values, reasons, saved phases,
+    decision heap, cursor and queue head of a per-literal loop."""
+    engine, ref = _Cdcl(), _Cdcl()
+    for e in (engine, ref):
+        e.load(CnfInstance(12, []))
+    level = 0
+
+    def state(e):
+        return (e.trail, e.assign, e.reason, e.saved, e.heap, e.in_heap, e.cursor, e.qhead,
+                e.lim, e.ticks)
+
+    for op, arg in sequence:
+        if op == "bump":
+            engine._bump(arg)
+            ref._bump(arg)
+        elif op in ("imply", "open", "skip") and engine.assign[abs(arg)] == 0:
+            if op != "imply":
+                level += 2 if op == "skip" else 1
+            for e in (engine, ref):
+                e._enqueue(arg, [arg, -arg] if op == "imply" else None, level)
+        elif op == "backtrack" and arg < level:
+            level = arg
+            engine._backtrack(level)
+            _reference_backtrack(ref, level)
+        elif op == "decide":
+            var = engine._decide()
+            assert ref._decide() == var
+            if var:
+                level += 1
+                for e in (engine, ref):
+                    e._enqueue(var if arg else -var, None, level)
+        elif op == "propagated":
+            engine.qhead = ref.qhead = len(engine.trail)
+        assert state(engine) == state(ref)
+    engine._backtrack(0)
+    _reference_backtrack(ref, 0)
+    assert state(engine) == state(ref)
+    assert all(engine.level[abs(lit)] == 0 for lit in engine.trail)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

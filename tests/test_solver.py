@@ -297,3 +297,78 @@ def test_maxsat_call_count_recorded(k4):
     assert clock.calls >= 1
     assert clock.counters["propagations"] > 0
     assert clock.acc["solving"] > 0
+
+
+# --- the engine's search, pinned ------------------------------------------
+
+def _recorded_search(monkeypatch, cells):
+    """Run every (measure, method, kb) of `cells` and give, per (measure,
+    method), the solver calls, the summed engine counters and a digest of
+    every call's status and model, in call order."""
+    import hashlib
+
+    from incmeter import search
+
+    seen = []
+
+    def recording(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr(search, "solve", recording)
+    got = {}
+    for measure, method, kb in cells:
+        seen.clear()
+        outcome = search.compute(measure, kb, method)
+        assert outcome.status == "ok" and outcome.solver_calls == len(seen)
+        entry = got.setdefault((measure, method), [0, 0, 0, 0, 0, hashlib.sha256()])
+        entry[0] += outcome.solver_calls
+        for i, name in enumerate(("decisions", "propagations", "conflicts", "restarts")):
+            entry[i + 1] += outcome.engine_counters[name]
+        for result in seen:
+            model = sorted(v for v, value in (result.model or {}).items() if value)
+            entry[5].update(f"{result.status.value}:{model};".encode())
+    return {key: (*entry[:5], entry[5].hexdigest()[:16]) for key, entry in got.items()}
+
+
+# (measure, method): solver calls, decisions, propagations, conflicts,
+# restarts, and the first 16 hex digits of the models' digest
+_PINNED_SEARCH = {
+    ("contension", "sat-binary"): (68, 226, 10822, 65, 0, "219c17a32594c938"),
+    ("contension", "sat-linear"): (68, 44, 5993, 52, 0, "5496395fe6afb2e4"),
+    ("forgetting", "sat-binary"): (106, 4730, 27857, 155, 0, "9923e2ffa648880e"),
+    ("forgetting", "sat-linear"): (78, 241, 11765, 113, 0, "9475c17a8ea9de42"),
+    ("hitting-set", "sat-binary"): (79, 2155, 7121, 36, 0, "33598701f6d12976"),
+    ("hitting-set", "sat-linear"): (71, 192, 1280, 27, 0, "16ea912d2a067d42"),
+    ("max-distance", "sat-binary"): (69, 1028, 4903, 19, 0, "ccb2c45de96c6150"),
+    ("max-distance", "sat-linear"): (63, 492, 3392, 8, 0, "c9889197f8861ce6"),
+    ("sum-distance", "sat-binary"): (136, 3425, 18937, 144, 0, "092adf4ac674df9f"),
+    ("sum-distance", "sat-linear"): (250, 128, 7383, 83, 0, "bf6089e8aec1c9c9"),
+    ("hit-distance", "sat-binary"): (79, 1780, 5256, 48, 0, "93ae52ab17a47a44"),
+    ("hit-distance", "sat-linear"): (67, 93, 2635, 59, 0, "7143fc203ef311e3"),
+    ("contension", "maxsat"): (90, 356, 14077, 66, 0, "d92693e8c992f652"),
+}
+
+
+def test_engine_search_is_pinned(monkeypatch, k4, k5, k6, k7):
+    """K4-K7 and the sat-mix base corpus, every measure by binary and linear
+    search and contension by maxsat: the engine makes the same decisions,
+    propagations, conflicts and restarts and returns the same models as when
+    this pin was written.  A change that means to alter the search updates
+    the pin."""
+    from incmeter.bench import SrsParams, generate_corpus
+    from incmeter.values import MEASURES
+
+    kbs = [k4, k5, k6, k7] + [kb for _, kb in generate_corpus(SrsParams(6, 8, 14, seed=7), 20)]
+    pairs = [(m, meth) for m in MEASURES for meth in ("sat-binary", "sat-linear")]
+    pairs.append(("contension", "maxsat"))
+    got = _recorded_search(monkeypatch, [(m, meth, kb) for m, meth in pairs for kb in kbs])
+    assert got == _PINNED_SEARCH
+    # a run with restarts and long learned clauses: forgetting by binary
+    # search on the first KB of the 24-atom corpus
+    _, kb = generate_corpus(SrsParams(24, 60, 80, seed=31), 1)[0]
+    got = _recorded_search(monkeypatch, [("forgetting", "sat-binary", kb)])
+    assert got == {
+        ("forgetting", "sat-binary"): (7, 2124, 165146, 573, 4, "d7e6bf7b4b4c61d5"),
+    }
