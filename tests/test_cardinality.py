@@ -1,18 +1,25 @@
 """At-most-k encoders: exact shapes, soundness, completeness."""
 
+import hashlib
 import itertools
+import random
 from math import comb
 
 import pytest
 
+from incmeter.bench import SrsParams, generate_corpus
 from incmeter.cardinality import (
     CounterAllocator,
+    SumCounter,
     at_most,
     at_most_binomial,
     sequential_clause_bound,
 )
 from incmeter.cnf import CnfInstance, VarMap
+from incmeter.encodings import encode
+from incmeter.search import search_range
 from incmeter.solver import SolveStatus, solve_internal
+from incmeter.values import MEASURES
 
 
 def test_binomial_k1_three_vars():
@@ -98,3 +105,74 @@ def test_negative_k_rejected():
         at_most_binomial(-1, [1])
     with pytest.raises(ValueError):
         at_most(-1, [1], CounterAllocator(1))
+
+
+
+def _splits(n):
+    """Every split of the inputs 1..n into consecutive non-empty parts."""
+    for cuts in itertools.product([False, True], repeat=n - 1):
+        parts = [[1]]
+        for v, cut in zip(range(2, n + 1), cuts):
+            if cut:
+                parts.append([])
+            parts[-1].append(v)
+        yield parts
+
+
+def _encoding_digests():
+    """One digest for the one-shot counter, one for the summed counter and
+    one per measure's encodings of the sat-mix base corpus."""
+    digests = {}
+    h = hashlib.sha256()
+    for n in range(1, 9):
+        for k in range(n + 1):
+            h.update(repr(at_most(k, list(range(1, n + 1)), VarMap(n))).encode())
+    digests["at_most"] = h.hexdigest()[:16]
+    h = hashlib.sha256()
+    for n in range(1, 7):
+        rng = random.Random(n)
+        for parts in _splits(n):
+            alloc = VarMap(n)
+            counter = SumCounter(parts, alloc)
+            for k in rng.sample(range(n + 1), n + 1):
+                h.update(repr((counter.at_most(k), len(alloc))).encode())
+    digests["SumCounter"] = h.hexdigest()[:16]
+
+    def update(h, enc, lits=None):
+        h.update(repr((enc.cnf.num_vars, enc.cnf.clauses, enc.rule_spans, lits)).encode())
+
+    kbs = [kb for _, kb in generate_corpus(SrsParams(6, 8, 14, seed=7), 20)]
+    for measure in MEASURES:
+        h = hashlib.sha256()
+        for i, kb in enumerate(kbs):
+            rng = search_range(measure, kb)
+            bounds = list(range(rng.min, rng.max + 1))
+            for u in bounds[:6] + bounds[-2:]:
+                update(h, encode(measure, kb, u))
+            shuffled = random.Random(i).sample(bounds, len(bounds))
+            for order in (bounds, bounds[::-1], shuffled):
+                enc = encode(measure, kb)
+                for u in order:
+                    update(h, enc, enc.assume(u))
+        digests[measure] = h.hexdigest()[:16]
+    return digests
+
+
+def test_counter_and_encoding_clauses_are_pinned():
+    """The one-shot counter for n <= 8, the summed counter over every split
+    of n <= 6 inputs with its bounds in a seeded order, and every measure's
+    one-shot encodings (the first six and the last two bounds) and bound-free
+    sessions (bounds ascending, descending and shuffled) on the sat-mix base
+    corpus, 1,320 encodings: the same clauses, variable ids, rule spans and
+    assumption literals as when this pin was written.  A change that means to
+    alter a counter or an encoding updates the pin."""
+    assert _encoding_digests() == {
+        "at_most": "15803484a51affbe",
+        "SumCounter": "891bcb7bd6de8cbd",
+        "contension": "56b6ff3540c4e7c1",
+        "forgetting": "02d9275a977b24a0",
+        "hitting-set": "d0be017e4ed42620",
+        "max-distance": "49b43f257cbbbe51",
+        "sum-distance": "d06901a93d8e7607",
+        "hit-distance": "b08fed59f2117a34",
+    }
