@@ -188,17 +188,15 @@ def run_matrix(
     kbs: Sequence[tuple[str, KnowledgeBase]],
     measures: Sequence[str],
     methods: Sequence[str],
-    timeout_seconds: float = 600.0,
-    workers: int = 1,
     cfg: RunConfig | None = None,
+    workers: int = 1,
 ) -> list[BenchRecord]:
     """Run every (kb, measure, method) cell and verify value agreement.
 
-    A cell runs under `cfg`, whose timeout is the one limit: it ends each run
-    and marks a run that overran it as a timeout.  Without `cfg`, the cells
-    run on the internal engine under `timeout_seconds`."""
-    if cfg is None:
-        cfg = RunConfig(backend=BackendConfig(timeout=timeout_seconds))
+    A cell runs under `cfg` (default ``RunConfig()``), whose timeout is the
+    one limit: it ends each run and marks a run that overran it as a
+    timeout."""
+    cfg = cfg or RunConfig()
     tasks = [
         (kb_id, kb, measure, method)
         for kb_id, kb in kbs

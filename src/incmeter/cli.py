@@ -203,9 +203,7 @@ def _cmd_bench(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise MeasureUndefinedError(f"unknown method {m!r}")
-    records = bench.run_matrix(
-        kbs, measures, methods, args.timeout, args.workers, _run_config(args)
-    )
+    records = bench.run_matrix(kbs, measures, methods, _run_config(args), args.workers)
     written = bench.emit_reports(records, args.out)
     timeouts = sum(1 for r in records if r.timed_out)
     backend_errors = sum(1 for r in records if r.status == "backend-error")

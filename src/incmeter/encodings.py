@@ -12,13 +12,12 @@ same and writes that bound's assumptions as unit clauses.
 
 Construction follows a fixed shape: allocate the base signature, write the
 fixed-shape rules as clauses over it, clausify the rules that embed a KB
-formula with the Tseitin converter, and bound each counted sum with a
-counter grown to each probed bound: a sequential counter when the sum has
-one part (``cardinality.SequentialCounter``), and for the sums over
-formulas (SDS7, SF5) a sequential counter per formula merged up a tree
-(``cardinality.SumCounter``).  Forgetting gives each atom occurrence
-one variable, the value it takes after forgetting, so its formulas embed no
-per-occurrence subformula.  The resulting :class:`SatEncoding`
+formula with the Tseitin converter, and bound each counted sum with one
+``cardinality.SumCounter`` grown to each probed bound: a sequential counter
+when the sum has one part, and for the sums over formulas (SDS7, SF5) a
+sequential counter per formula merged up a tree.  Forgetting gives each
+atom occurrence one variable, the value it takes after forgetting, so its
+formulas embed no per-occurrence subformula.  The resulting :class:`SatEncoding`
 records which clause range each rule produced and the size of the base
 signature (auxiliary variables excluded), so structural properties can be
 checked against the per-encoding size formulas.  Every encoder accepts a

@@ -139,9 +139,8 @@ class _Session:
     """
 
     def __init__(self, build: Callable[[], encodings.SatEncoding], backend: BackendConfig,
-                 clock: _PhaseClock, deadline: float, kb: KnowledgeBase | None = None):
+                 clock: _PhaseClock, deadline: float):
         self.build, self.backend, self.clock, self.deadline = build, backend, clock, deadline
-        self.kb = kb  # the prepared KB encoded, if there is one
         self.enc: encodings.SatEncoding | None = None
         self.settled: list[int] | None = None
         self.model: dict[int, bool] | None = None
@@ -235,7 +234,7 @@ def _search(next_bound: _Rule, value_of: Callable, measure: str, kb: KnowledgeBa
             ) -> tuple[Value | None, tuple[int, int] | None]:
     """One search over the measure's range, on the KB prepared once."""
     pkb = encodings.prepare_kb(kb)
-    session = _Session(lambda: encodings.encode(measure, pkb), cfg.backend, clock, deadline, pkb)
+    session = _Session(lambda: encodings.encode(measure, pkb), cfg.backend, clock, deadline)
     rng = search_range(measure, pkb)
     value, _model, undecided = _drive(session, rng.min, rng.max, next_bound, value_of)
     if undecided is not None:

@@ -20,6 +20,7 @@ assumptions before being surfaced.
 from __future__ import annotations
 
 import heapq
+import math
 import os
 import shutil
 import subprocess
@@ -61,8 +62,8 @@ class BackendConfig:
     timeout: float = 600.0
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError("timeout must be a finite positive number")
 
 
 class BackendUnavailableError(RuntimeError):
@@ -84,9 +85,11 @@ class HardClausesUnsatisfiableError(RuntimeError):
 class _Cdcl:
     """Small incremental conflict-driven clause-learning solver.
 
-    Two watched literals, 1UIP learning, geometric restarts, phase saving
-    with a false-first default (cardinality registers stay low), and a
-    deterministic max-activity decision rule (ties broken by variable index).
+    Two watched literals, 1UIP learning, a fixed restart interval (back to
+    level 0 once a call has had 128 conflicts since its start or its last
+    restart), phase saving with a false-first default (cardinality
+    registers stay low), and a deterministic max-activity decision rule
+    (ties broken by variable index).
 
     The engine outlives one call: clauses and variables may be added between
     calls, and each call decides the clauses under a list of assumption

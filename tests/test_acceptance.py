@@ -16,8 +16,8 @@ import pytest
 
 from incmeter.asp import STATIC_BLOCKS, asp_backend_available, emit_asp, extract_value, solve_asp
 from incmeter.bench import SrsParams, generate_corpus
-from incmeter.cardinality import CounterAllocator, at_most, at_most_binomial
-from incmeter.cnf import CnfInstance, tseitin
+from incmeter.cardinality import at_most, at_most_binomial
+from incmeter.cnf import CnfInstance, VarMap, tseitin
 from incmeter.encodings import encode, encode_hs, expected_base_size
 from incmeter.kb import Atom, eval2, interpretations, parse_kb
 from incmeter.oracles import naive_measure, oracle_value
@@ -169,7 +169,7 @@ def test_criterion_4_cardinality_exhaustive():
             bino = at_most_binomial(k, variables)
             if len(bino) != comb(n, k + 1):
                 bad.append(("binomial-count", n, k))
-            alloc = CounterAllocator(n)
+            alloc = VarMap(n)
             seq = at_most(k, variables, alloc)
             for bits in itertools.product([False, True], repeat=n):
                 want = sum(bits) <= k
@@ -178,7 +178,7 @@ def test_criterion_4_cardinality_exhaustive():
                     for clause in bino
                 )
                 units = [[v] if bit else [-v] for v, bit in zip(variables, bits)]
-                seq_res = solve_internal(CnfInstance(alloc.top, seq + units))
+                seq_res = solve_internal(CnfInstance(len(alloc), seq + units))
                 seq_ok = seq_res.status is SolveStatus.SAT
                 if bino_ok != want or seq_ok != want:
                     bad.append((n, k, bits, bino_ok, seq_ok, want))

@@ -81,7 +81,8 @@ def test_write_corpus_round_trips(tmp_path):
 
 
 def test_run_matrix_values_on_k4(k4):
-    records = run_matrix([("k4", k4)], MEASURES, ["sat-binary", "naive"], 60)
+    records = run_matrix([("k4", k4)], MEASURES, ["sat-binary", "naive"],
+                         cfg=RunConfig(BackendConfig(timeout=60)))
     assert len(records) == 12
     by_cell = {(r.measure, r.method): r for r in records}
     for measure in MEASURES:
@@ -90,23 +91,26 @@ def test_run_matrix_values_on_k4(k4):
 
 
 def test_run_matrix_hs_inf_on_k6(k6):
-    records = run_matrix([("k6", k6)], ["hitting-set"], ["sat-binary"], 60)
+    records = run_matrix([("k6", k6)], ["hitting-set"], ["sat-binary"],
+                         cfg=RunConfig(BackendConfig(timeout=60)))
     assert records[0].value_text() == "inf"
 
 
 def test_run_matrix_empty_methods(k4):
-    assert run_matrix([("k4", k4)], MEASURES, [], 60) == []
+    assert run_matrix([("k4", k4)], MEASURES, [], cfg=RunConfig(BackendConfig(timeout=60))) == []
 
 
 def test_run_matrix_skips_maxsat_on_other_measures(k4):
-    records = run_matrix([("k4", k4)], ["forgetting", "contension"], ["maxsat"], 60)
+    records = run_matrix([("k4", k4)], ["forgetting", "contension"], ["maxsat"],
+                         cfg=RunConfig(BackendConfig(timeout=60)))
     assert [r.measure for r in records] == ["contension"]
 
 
 def test_run_matrix_parallel_matches_serial(k4, k7):
     kbs = [("k4", k4), ("k7", k7)]
-    serial = run_matrix(kbs, MEASURES, ["sat-binary"], 60, workers=1)
-    parallel = run_matrix(kbs, MEASURES, ["sat-binary"], 60, workers=4)
+    cfg = RunConfig(BackendConfig(timeout=60))
+    serial = run_matrix(kbs, MEASURES, ["sat-binary"], cfg, workers=1)
+    parallel = run_matrix(kbs, MEASURES, ["sat-binary"], cfg, workers=4)
     key = lambda r: (r.kb_id, r.measure, r.method)
     assert [(key(r), r.value) for r in serial] == [
         (key(r), r.value) for r in parallel
@@ -137,7 +141,7 @@ def test_run_matrix_records_cap_and_undefined_cells(tmp_path):
         [("cap10", over_cap), ("bottom", undefined)],
         ["hitting-set", "contension"],
         ["sat-binary", "naive"],
-        60,
+        cfg=RunConfig(BackendConfig(timeout=60)),
     )
     status = {(r.kb_id, r.measure, r.method): r.status for r in records}
     assert status[("cap10", "hitting-set", "naive")] == "cap"
@@ -168,29 +172,20 @@ def test_run_matrix_records_backend_errors(k4, tmp_path):
     garbled.write_text("#!/bin/sh\necho hello\n")
     garbled.chmod(0o755)
     records = run_matrix(
-        [("k4", k4)], ["contension"], ["sat-binary", "asp"], 60,
+        [("k4", k4)], ["contension"], ["sat-binary", "asp"],
         cfg=RunConfig(asp_solver=str(tmp_path / "no-such-clingo")),
     )
     assert {r.method: r.status for r in records} == {"sat-binary": "ok", "asp": "backend-error"}
     external = RunConfig(backend=BackendConfig(solver_path=str(garbled)))
-    records = run_matrix([("k4", k4)], ["contension"], ["sat-linear", "naive"], 60, cfg=external)
+    records = run_matrix([("k4", k4)], ["contension"], ["sat-linear", "naive"], cfg=external)
     assert {r.method: r.status for r in records} == {"sat-linear": "backend-error", "naive": "ok"}
     assert not records[0].solved and not records[0].timed_out
-
-
-def test_cells_are_judged_against_the_limit_they_ran_under(k7):
-    """The run config's timeout is the one limit: a tiny `timeout_seconds`
-    beside it neither cuts nor marks a cell that finished under it."""
-    records = run_matrix([("k7", k7)], ["contension"], ["sat-binary", "naive"], 1e-9,
-                         cfg=RunConfig())
-    assert {r.method: (r.status, r.value) for r in records} == {
-        "sat-binary": ("ok", 1), "naive": ("ok", 1)}
 
 
 def test_timeout_rows_carry_the_remaining_bounds(k7, sleepy_solver, tmp_path):
     backend = BackendConfig(solver_path=sleepy_solver, timeout=0.5)
     records = run_matrix(
-        [("k7", k7)], ["hit-distance"], ["sat-binary", "naive"], 0.5,
+        [("k7", k7)], ["hit-distance"], ["sat-binary", "naive"],
         cfg=RunConfig(backend=backend),
     )
     by_method = {r.method: r for r in records}
@@ -210,7 +205,7 @@ def test_result_rows_carry_the_engine_counters(k7, tmp_path):
     over_cap = parse_kb("\n".join(f"x{i} && !x{(i + 1) % 10}" for i in range(10)))
     records = run_matrix(
         [("k7", k7), ("cap10", over_cap)], ["contension", "hitting-set"],
-        ["sat-binary", "maxsat", "naive"], 60,
+        ["sat-binary", "maxsat", "naive"], cfg=RunConfig(BackendConfig(timeout=60)),
     )
     emit_reports(records, tmp_path)
     rows = _read(tmp_path / "results.csv")
@@ -292,13 +287,50 @@ def test_scatter_pins_a_timeout_at_its_own_limit(tmp_path):
 
 
 def test_matrix_records_carry_their_limit(k4):
-    assert {r.limit_seconds for r in run_matrix([("k4", k4)], ["contension"], ["sat-binary"], 7)} == {7}
-    rec = run_matrix([("k4", k4)], ["contension"], ["naive"], 60, cfg=RunConfig(BackendConfig(timeout=3)))[0]
-    assert rec.limit_seconds == 3
+    records = run_matrix([("k4", k4)], ["contension"], ["sat-binary", "naive"],
+                         cfg=RunConfig(BackendConfig(timeout=7)))
+    assert {r.limit_seconds for r in records} == {7}
+    assert run_matrix([("k4", k4)], ["contension"], ["naive"])[0].limit_seconds == 600
 
 
 def test_matrix_records_carry_phase_times(k4):
-    records = run_matrix([("k4", k4)], ["contension"], ["sat-binary"], 60)
+    records = run_matrix([("k4", k4)], ["contension"], ["sat-binary"],
+                         cfg=RunConfig(BackendConfig(timeout=60)))
     rec = records[0]
     assert set(rec.phase_times) == {"encoding", "cnfTransform", "solving", "other"}
     assert rec.solver_calls >= 1
+
+
+def test_benchmark_tracer_wraps_and_restores_the_pipeline():
+    """The benchmark's tracer wraps incmeter functions by name: installing
+    it must find every one of them, a wrapped call must be counted, and
+    removing it must put every original back."""
+    import importlib.util
+    from types import SimpleNamespace
+
+    from incmeter import cardinality, encodings, search, solver
+    from incmeter.cnf import VarMap
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    lib = SimpleNamespace(search=search, encodings=encodings, cardinality=cardinality,
+                          solver=solver)
+    before = {name: dict(vars(m)) for name, m in vars(lib).items()}
+    tracer = module.Tracer()
+    tracer.install(lib)
+    try:
+        assert len(tracer._patches) == 9
+        assert cardinality.at_most is not before["cardinality"]["at_most"]
+        alloc = VarMap(3)
+        clauses = cardinality.at_most(1, [1, 2, 3], alloc)
+        assert tracer.counts["cardinality.calls"] == 1
+        assert tracer.counts["cardinality.aux_vars"] == len(alloc) - 3
+        assert tracer.counts["cardinality.clauses"] == len(clauses)
+    finally:
+        tracer.remove()
+    for name, m in vars(lib).items():
+        after = vars(m)
+        assert after.keys() == before[name].keys(), name
+        assert all(after[attr] is value for attr, value in before[name].items()), name

@@ -9,7 +9,6 @@ import pytest
 
 from incmeter.bench import SrsParams, generate_corpus
 from incmeter.cardinality import (
-    CounterAllocator,
     SumCounter,
     at_most,
     at_most_binomial,
@@ -44,7 +43,7 @@ def test_binomial_clause_count(n):
 
 
 def test_sequential_k0():
-    alloc = CounterAllocator(2)
+    alloc = VarMap(2)
     assert at_most(0, [1, 2], alloc) == [[-1], [-2]]
 
 
@@ -67,11 +66,11 @@ def _extension_satisfiable(clauses, n_vars, top, assignment):
 def test_sequential_exhaustive_soundness(n):
     variables = list(range(1, n + 1))
     for k in range(n + 1):
-        alloc = CounterAllocator(n)
+        alloc = VarMap(n)
         clauses = at_most(k, variables, alloc)
         for bits in itertools.product([False, True], repeat=n):
             assignment = dict(zip(variables, bits))
-            ok = _extension_satisfiable(clauses, n, alloc.top, assignment)
+            ok = _extension_satisfiable(clauses, n, len(alloc), assignment)
             assert ok == (sum(bits) <= k), (n, k, bits)
 
 
@@ -79,12 +78,12 @@ def test_sequential_exhaustive_soundness(n):
 def test_sequential_matches_binomial_projection(n):
     variables = list(range(1, n + 1))
     for k in range(n + 1):
-        alloc = CounterAllocator(n)
+        alloc = VarMap(n)
         seq = at_most(k, variables, alloc)
         bino = at_most_binomial(k, variables)
         for bits in itertools.product([False, True], repeat=n):
             assignment = dict(zip(variables, bits))
-            seq_ok = _extension_satisfiable(seq, n, alloc.top, assignment)
+            seq_ok = _extension_satisfiable(seq, n, len(alloc), assignment)
             bino_ok = all(
                 any(assignment[abs(lit)] == (lit > 0) for lit in clause)
                 for clause in bino
@@ -96,7 +95,7 @@ def test_sequential_matches_binomial_projection(n):
 def test_sequential_clause_budget(n):
     variables = list(range(1, n + 1))
     for k in range(n + 1):
-        clauses = at_most(k, variables, CounterAllocator(n))
+        clauses = at_most(k, variables, VarMap(n))
         assert len(clauses) <= sequential_clause_bound(n, k)
 
 
@@ -104,7 +103,7 @@ def test_negative_k_rejected():
     with pytest.raises(ValueError):
         at_most_binomial(-1, [1])
     with pytest.raises(ValueError):
-        at_most(-1, [1], CounterAllocator(1))
+        at_most(-1, [1], VarMap(1))
 
 
 

@@ -214,6 +214,16 @@ def test_timeout_exit_code(kb_file, capsys):
     assert json.loads("\n".join(out.splitlines()[1:]))["bounds"] == [0, 2]
 
 
+@pytest.mark.parametrize("timeout", ["nan", "inf"])
+def test_timeout_that_is_not_finite_is_a_usage_error(kb_file, capsys, timeout):
+    path = kb_file("k4.kb", "x&&y\n!y\n")
+    code, out, err = run_cli(
+        capsys, "measure", "--measure", "contension", "--timeout", timeout, path
+    )
+    assert code == 1 and out == ""
+    assert "timeout must be a finite positive number" in err
+
+
 def test_sat_solver_env_selects_the_backend(kb_file, fake_solver, capsys, monkeypatch):
     """$INCMETER_SAT_SOLVER is the default of --sat-solver: a missing binary is
     a backend failure, and a working one answers without the internal engine."""

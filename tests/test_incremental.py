@@ -13,8 +13,8 @@ from hypothesis import given
 
 from incmeter import search
 from incmeter.bench import SrsParams, generate_corpus
-from incmeter.cardinality import CounterAllocator, SequentialCounter, SumCounter
-from incmeter.cnf import TAG_BLOCK, TAG_COPY, TAG_INV, CnfInstance
+from incmeter.cardinality import SumCounter
+from incmeter.cnf import TAG_BLOCK, TAG_COPY, TAG_INV, CnfInstance, VarMap
 from incmeter.encodings import (
     encode,
     encode_contension_maxsat,
@@ -35,6 +35,7 @@ from incmeter.solver import (
 )
 from incmeter.search import solve_maxsat
 from incmeter.values import INF, MEASURES
+from test_cardinality import _splits
 
 N_VARS = 8
 literals = st.integers(1, N_VARS).flatmap(lambda v: st.sampled_from([v, -v]))
@@ -200,31 +201,19 @@ def test_backtrack_by_level_boundaries_equals_per_literal_loop(sequence):
 def test_growing_counter_bounds_by_assumption(n):
     """One counter serves every bound, asked for in any order."""
     variables = list(range(1, n + 1))
-    alloc = CounterAllocator(n)
-    counter = SequentialCounter(variables, alloc)
+    alloc = VarMap(n)
+    counter = SumCounter([variables], alloc)
     cnf = CnfInstance(n, [])
     for k in random.Random(n).sample(range(n + 1), n + 1):
         new_clauses, lit = counter.at_most(k)
         cnf.clauses.extend(new_clauses)
-        cnf.num_vars = alloc.top
+        cnf.num_vars = len(alloc)
         assert (lit is None) == (k >= n)
         for bits in itertools.product([False, True], repeat=n):
             inputs = [v if b else -v for v, b in zip(variables, bits)]
             assumptions = inputs + ([lit] if lit is not None else [])
             got = solve_internal(cnf, assumptions=assumptions).is_sat
             assert got == (sum(bits) <= k), (n, k, bits)
-
-
-
-def _splits(n):
-    """Every split of the inputs 1..n into consecutive non-empty parts."""
-    for cuts in itertools.product([False, True], repeat=n - 1):
-        parts = [[1]]
-        for v, cut in zip(range(2, n + 1), cuts):
-            if cut:
-                parts.append([])
-            parts[-1].append(v)
-        yield parts
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -235,13 +224,13 @@ def test_summed_counter_bounds_every_split_by_assumption(n):
     variables = list(range(1, n + 1))
     rng = random.Random(n)
     for parts in _splits(n):
-        alloc = CounterAllocator(n)
+        alloc = VarMap(n)
         counter = SumCounter(parts, alloc)
         cnf = CnfInstance(n, [])
         for k in rng.sample(range(n + 1), n + 1):
             new_clauses, lit = counter.at_most(k)
             cnf.clauses.extend(new_clauses)
-            cnf.num_vars = alloc.top
+            cnf.num_vars = len(alloc)
             assert (lit is None) == (k >= n)
             for bits in itertools.product([False, True], repeat=n):
                 inputs = [v if b else -v for v, b in zip(variables, bits)]
@@ -250,17 +239,41 @@ def test_summed_counter_bounds_every_split_by_assumption(n):
                 assert got == (sum(bits) <= k), (parts, k, bits)
 
 
+class _SequentialReference:
+    """Sinz's sequential counter, grown one register column at a time:
+    register s[i, j] holds once at least j + 1 of the first i + 1 inputs are
+    true, and a column's ids are taken before its clauses are written."""
+
+    def __init__(self, variables, alloc):
+        self.x, self.alloc, self.s, self.width = list(variables), alloc, {}, 0
+
+    def at_most(self, k):
+        x, s, n = self.x, self.s, len(self.x)
+        if k >= n:
+            return [], None
+        clauses = []
+        for j in range(self.width, k + 1):
+            for i in range(j, n):
+                s[i, j] = self.alloc.fresh_aux()
+            for i in range(j, n):
+                clauses.append([-x[i]] + ([-s[i - 1, j - 1]] if j else []) + [s[i, j]])
+                if i > j:
+                    clauses.append([-s[i - 1, j], s[i, j]])
+        self.width = max(self.width, k + 1)
+        return clauses, -s[n - 1, k]
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_one_part_sum_is_the_sequential_counter(n):
     """With one non-empty part, a summed counter gives the sequential
     counter's ids, clauses and literal, bound by bound."""
     variables = list(range(1, n + 1))
-    seq_alloc, sum_alloc = CounterAllocator(n), CounterAllocator(n)
-    sequential = SequentialCounter(variables, seq_alloc)
+    seq_alloc, sum_alloc = VarMap(n), VarMap(n)
+    sequential = _SequentialReference(variables, seq_alloc)
     summed = SumCounter([[], variables, []], sum_alloc)
     for k in random.Random(n).sample(range(n + 2), n + 2):
         assert summed.at_most(k) == sequential.at_most(k), k
-        assert sum_alloc.top == seq_alloc.top, k
+        assert len(sum_alloc) == len(seq_alloc), k
 
 
 def test_bound_free_encoding_takes_bounds_by_assumption(k7):
@@ -284,7 +297,7 @@ def test_session_probes_match_one_shot_encodings(monkeypatch, runner, measure):
 
     def recording(self, bound):
         verdict = original(self, bound)
-        probes.append((self.kb, bound, verdict))
+        probes.append((kb, bound, verdict))  # kb: the one the runner is on
         return verdict
 
     monkeypatch.setattr(search._Session, "probe", recording)
@@ -296,8 +309,8 @@ def test_session_probes_match_one_shot_encodings(monkeypatch, runner, measure):
         except MeasureUndefinedError:
             pass
     assert probes
-    for pkb, bound, verdict in probes:
-        assert verdict == solve(encode(measure, pkb, bound).cnf).is_sat, (pkb, bound)
+    for kb, bound, verdict in probes:
+        assert verdict == solve(encode(measure, kb, bound).cnf).is_sat, (kb, bound)
 
 
 def test_search_prepares_the_kb_once(monkeypatch, k7):

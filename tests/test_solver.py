@@ -252,6 +252,12 @@ def test_external_backend_timeout_kills_process(sleepy_solver):
     assert res.status is SolveStatus.TIMEOUT
 
 
+@pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf")])
+def test_timeout_must_be_finite_and_positive(timeout):
+    with pytest.raises(ValueError):
+        BackendConfig(timeout=timeout)
+
+
 # --- MaxSAT ----------------------------------------------------------------
 
 def test_maxsat_no_conflict_costs_zero():
