@@ -1,5 +1,6 @@
 """Upper-bound SAT encodings: worked examples, sizes, theorem conformance."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -23,7 +24,22 @@ from incmeter.encodings import (
     expected_base_size,
     prepare_kb,
 )
-from incmeter.kb import Bottom, Implies, KnowledgeBase, Top, parse_kb, substitute_atoms
+from incmeter.kb import (
+    BOTTOM,
+    TOP,
+    And,
+    Atom,
+    Bottom,
+    Iff,
+    Implies,
+    KnowledgeBase,
+    Not,
+    Or,
+    Top,
+    format_formula,
+    parse_kb,
+    substitute_atoms,
+)
 from incmeter.oracles import oracle_value
 from incmeter.search import binary_search, linear_search, search_range
 from incmeter.solver import SolveStatus, solve_internal
@@ -470,3 +486,60 @@ def test_forgetting_by_occurrence_values_matches_the_oracle():
         for occ in prepare_kb(kb).occurrences():
             assert enc.varmap.id_of((TAG_OCC, occ.atom, occ.label)) in read, (kb, occ)
     assert len(values) > 2
+
+
+# --- pinned encodings of every connective and both constants -----------------
+
+def _connective_kb(rng):
+    """1-8 formulas over four atoms built from every connective, with the
+    constants + and - among the leaves."""
+    leaves = [Atom(x) for x in "abcd"] * 2 + [TOP, BOTTOM]
+
+    def formula(depth):
+        roll = rng.random()
+        if depth == 4 or roll < 0.3:
+            return rng.choice(leaves)
+        if roll < 0.45:
+            return Not(formula(depth + 1))
+        return rng.choice((And, Or, Implies, Iff))(formula(depth + 1), formula(depth + 1))
+
+    return KnowledgeBase(tuple(formula(0) for _ in range(rng.randint(1, 8))))
+
+
+def _connective_digests():
+    rng = random.Random(23)
+    kbs = [_connective_kb(rng) for _ in range(200)]
+    kbs += [kb for _, kb in generate_corpus(SrsParams(10, 14, 20, seed=3), 8)]
+    h = hashlib.sha256()
+    for kb in kbs:
+        h.update(repr([format_formula(f) for f in prepare_kb(kb)]).encode())
+    digests = {"prepare_kb": h.hexdigest()[:16]}
+    for measure in MEASURES:
+        h = hashlib.sha256()
+        for kb in kbs:
+            bounds = search_range(measure, kb)
+            enc = encode(measure, kb)
+            for u in range(bounds.min, bounds.max + 1)[:4]:
+                lits = enc.assume(u)
+                h.update(repr((enc.cnf.num_vars, enc.cnf.clauses, enc.rule_spans, lits)).encode())
+        digests[measure] = h.hexdigest()[:16]
+    return digests
+
+
+def test_encodings_of_connectives_and_constants_are_pinned():
+    """200 seeded KBs with =>, <=>, + and - (so prepare_kb rewrites and folds,
+    contension fixes constant members and Tseitin meets constant leaves) and
+    the encode-heavy base corpus: the same prepared formulas, and for every
+    measure the same clauses, variable ids, rule spans and assumption
+    literals of a bound-free session grown at its first four bounds, as when
+    this pin was written.  A change that means to alter an encoding updates
+    the pin."""
+    assert _connective_digests() == {
+        "prepare_kb": "b64a87eb237b0de1",
+        "contension": "f9d1612056ba6203",
+        "forgetting": "6baf1312edbdb039",
+        "hitting-set": "f70d16fdb8cc4c5e",
+        "max-distance": "115248b55087c1d2",
+        "sum-distance": "6e0f143e1bb2d1b4",
+        "hit-distance": "83a14d339f051615",
+    }
