@@ -9,6 +9,7 @@ variables (Tseitin definitions, cardinality registers) are bare ids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .kb import (
     And,
@@ -107,15 +108,20 @@ class Lit(Formula):
     lit: int
 
 
-def tseitin_append(f: Formula, vm: VarMap, clauses: list[list[int]]) -> None:
+def tseitin_append(f: Formula, vm: VarMap, clauses: list[list[int]],
+                   leaf: Callable[[str], int] | None = None) -> None:
     """Append clauses equisatisfiable with asserting `f` to `clauses`.
 
-    :class:`Lit` leaves are their own literals; an :class:`Atom` leaf is the
-    variable named ``(atom, name)`` in `vm`.  Every internal connective below
-    the top level gets an auxiliary variable constrained by a full
-    biconditional (no polarity optimization); negation is folded into literal
-    signs.
+    :class:`Lit` leaves are their own literals.  An :class:`Atom` leaf is the
+    literal that the leaf map `leaf` gives for its name, by default the
+    variable named ``(atom, name)`` in `vm`.  The map is called once per
+    Atom leaf, in reading order (left to right), so it may hand out one
+    literal per occurrence instead of one per atom.  Every internal
+    connective below the top level gets an auxiliary variable constrained by
+    a full biconditional (no polarity optimization); negation is folded into
+    literal signs.
     """
+    leaf = leaf or (lambda name: vm.var((TAG_ATOM, name)))
     const_true: list[int] = []
 
     def emit(clause: list[int]) -> None:
@@ -135,10 +141,10 @@ def tseitin_append(f: Formula, vm: VarMap, clauses: list[list[int]]) -> None:
         return const_true[0]
 
     def walk(node: Formula) -> int:
+        if isinstance(node, Atom):
+            return leaf(node.name)
         if isinstance(node, Lit):
             return node.lit
-        if isinstance(node, Atom):
-            return vm.var((TAG_ATOM, node.name))
         if isinstance(node, Top):
             return const_var()
         if isinstance(node, Bottom):

@@ -11,11 +11,15 @@ once per search and only ever grows.  Called with a bound, it builds the
 same and writes that bound's assumptions as unit clauses.
 
 Construction follows a fixed shape: allocate the base signature, write the
-fixed-shape rules as clauses over it, clausify the rules that embed a KB
-formula with the Tseitin converter, and bound each counted sum with one
-``cardinality.SumCounter`` grown to each probed bound: a sequential counter
-when the sum has one part, and for the sums over formulas (SDS7, SF5) a
-sequential counter per formula merged up a tree.  Forgetting gives each
+fixed-shape rules as clauses over the ids that allocation returned, clausify
+the rules that embed a KB formula (SF3, SH3, SDM4/SDS4, SDH3) with the
+Tseitin converter straight from the prepared formula, its atom leaves
+mapped through a leaf map to the literals the rule puts there (an atom's
+copy, an occurrence's value in reading order, the atom itself), and bound
+each counted sum with one ``cardinality.SumCounter`` grown to each probed
+bound: a sequential counter when the sum has one part, and for the sums
+over formulas (SDS7, SF5) a sequential counter per formula merged up a
+tree.  No substituted copy of a formula is built.  Forgetting gives each
 atom occurrence one variable, the value it takes after forgetting, so its
 formulas embed no per-occurrence subformula.  The resulting :class:`SatEncoding`
 records which clause range each rule produced and the size of the base
@@ -59,8 +63,6 @@ from .kb import (
     atoms_of,
     fold_constants,
     reduce_connectives,
-    replace_at,
-    substitute_atoms,
 )
 from .solver import MaxSatInstance
 
@@ -134,18 +136,28 @@ class SatEncoding:
         self.cnf.num_vars = len(self.varmap)
         return lits
 
-    def assert_formula(self, tag: str, formula: Formula) -> None:
-        """Tseitin-clausify a rule that embeds a KB formula."""
-        start = len(self.cnf.clauses)
+    def assert_formula(self, tag: str, formula: Formula,
+                       leaf: Callable[[str], int] | None = None) -> None:
+        """Tseitin-clausify a rule that embeds a KB formula, its atom leaves
+        through the leaf map `leaf` (see :func:`cnf.tseitin_append`)."""
+        clauses: list[list[int]] = []
         begin = time.perf_counter()
-        tseitin_append(formula, self.varmap, self.cnf.clauses)
+        tseitin_append(formula, self.varmap, clauses, leaf)
         self.cnf_transform_seconds += time.perf_counter() - begin
-        self._record(tag, start)
+        self.add_clauses(tag, clauses)
 
     def add_clauses(self, tag: str, clauses: list[list[int]]) -> None:
-        start = len(self.cnf.clauses)
-        self.cnf.clauses.extend(clauses)
-        self._record(tag, start)
+        """Append `clauses` as rule `tag`, extending the last span if it is
+        the same rule's and ends here."""
+        cnf_clauses = self.cnf.clauses
+        start = len(cnf_clauses)
+        cnf_clauses.extend(clauses)
+        end = len(cnf_clauses)
+        spans = self.rule_spans
+        if spans and spans[-1][0] == tag and spans[-1][2] == start:
+            spans[-1] = (tag, spans[-1][1], end)
+        elif end > start:
+            spans.append((tag, start, end))
 
     def at_most(self, tag: str, sums: list[list[list[int]]]) -> None:
         """At most the bound of each sum's literals are true, a bound per
@@ -176,14 +188,6 @@ class SatEncoding:
         most u, so a model is worth its count: MaxSAT's violated soft units,
         contension's b-assigned atoms (SC17)."""
         return sum(model[abs(lit)] == (lit > 0) for lit in self._counted)
-
-    def _record(self, tag: str, start: int) -> None:
-        end = len(self.cnf.clauses)
-        spans = self.rule_spans
-        if spans and spans[-1][0] == tag and spans[-1][2] == start:
-            spans[-1] = (tag, spans[-1][1], end)
-        elif end > start:
-            spans.append((tag, start, end))
 
     def finish(self, base_size: int, bound: int | None = None) -> SatEncoding:
         """With a bound, make this the one-shot instance of that bound; then
@@ -221,37 +225,43 @@ def _iff_neither(v: int, a: int, b: int, c: int, d: int) -> list[list[int]]:
 # Contension (three-valued models with few b-assignments)
 
 
-def _site_key(site) -> tuple:
-    return (site.formula_index, site.path)
-
-
 def encode_contension(kb: KnowledgeBase, u: int | None = None) -> SatEncoding:
+    """Site k of ``subformula_sites`` (pre-order within each formula) has its
+    t, f and b valuations at ids first + 3k, + 1 and + 2, in SC2's order; a
+    Not's child is site k + 1, and a binary node's right child sits past its
+    left child's subtree."""
     pkb = prepared(kb)
     atoms = pkb.signature()
     sites = pkb.subformula_sites()
     b = SatEncoding("contension")
-    for x in atoms:  # SC1
-        for v in THREE_VALUES:
-            b.varmap.var((TAG_TRI, x, v))
+    vm = b.varmap
+    tri = {x: [vm.var((TAG_TRI, x, v)) for v in THREE_VALUES] for x in atoms}  # SC1
+    first = len(vm) + 1
     for site, _ in sites:  # SC2
+        key = (site.formula_index, site.path)
         for v in THREE_VALUES:
-            b.varmap.var((TAG_VAL, _site_key(site), v))
+            vm.var((TAG_VAL, key, v))
     base_size = 3 * len(atoms) + 3 * len(sites)
+    size = [1] * len(sites)  # subtree sizes, children before parents
+    for k in range(len(sites) - 1, -1, -1):
+        node = sites[k][1]
+        if isinstance(node, Not):
+            size[k] += size[k + 1]
+        elif isinstance(node, (And, Or)):
+            size[k] += size[k + 1] + size[k + 1 + size[k + 1]]
 
-    def tri(x: str, v: str) -> int:
-        return b.varmap.id_of((TAG_TRI, x, v))
-
-    def val(site, v: str) -> int:
-        return b.varmap.id_of((TAG_VAL, _site_key(site), v))
-
-    for x in atoms:  # SC3: exactly one of X_t, X_f, X_b
-        t, f, bb = tri(x, "t"), tri(x, "f"), tri(x, "b")
+    for t, f, bb in tri.values():  # SC3: exactly one of X_t, X_f, X_b
         b.add_clauses("SC3", [[t, f, bb], [-t, -f], [-t, -bb], [-bb, -f]])
-    for site, node in sites:
-        vt, vf, vb = (val(site, v) for v in THREE_VALUES)
+    roots = []
+    for k, (site, node) in enumerate(sites):
+        vt = first + 3 * k
+        vf, vb = vt + 1, vt + 2
+        if not site.path:
+            roots.append(vt)
         if isinstance(node, (And, Or)):  # SC4-SC6 / SC7-SC9
-            lt, lf, _ = (val(site.child(0), v) for v in THREE_VALUES)
-            rt, rf, _ = (val(site.child(1), v) for v in THREE_VALUES)
+            lt = vt + 3
+            rt = first + 3 * (k + 1 + size[k + 1])
+            lf, rf = lt + 1, rt + 1
             if isinstance(node, And):
                 b.add_clauses("SC4", _iff_and(vt, lt, rt))
                 b.add_clauses("SC5", _iff_and(-vf, -lf, -rf))
@@ -261,22 +271,21 @@ def encode_contension(kb: KnowledgeBase, u: int | None = None) -> SatEncoding:
                 b.add_clauses("SC8", _iff_and(vf, lf, rf))
                 b.add_clauses("SC9", _iff_neither(vb, lf, rf, lt, rt))
         elif isinstance(node, Not):  # SC10-SC12
-            c = site.child(0)
-            b.add_clauses("SC10", _iff(vt, val(c, "f")))
-            b.add_clauses("SC11", _iff(vf, val(c, "t")))
-            b.add_clauses("SC12", _iff(vb, val(c, "b")))
+            ct = vt + 3
+            b.add_clauses("SC10", _iff(vt, ct + 1))
+            b.add_clauses("SC11", _iff(vf, ct))
+            b.add_clauses("SC12", _iff(vb, ct + 2))
         elif isinstance(node, Atom):  # SC13-SC15
-            b.add_clauses("SC13", _iff(vt, tri(node.name, "t")))
-            b.add_clauses("SC14", _iff(vf, tri(node.name, "f")))
-            b.add_clauses("SC15", _iff(vb, tri(node.name, "b")))
+            t, f, bb = tri[node.name]
+            b.add_clauses("SC13", _iff(vt, t))
+            b.add_clauses("SC14", _iff(vf, f))
+            b.add_clauses("SC15", _iff(vb, bb))
         else:  # whole-formula constant left by folding; fix its valuation
             top = isinstance(node, Top)
             b.add_clauses("SC-const", [[vt if top else -vt], [-vf if top else vf], [-vb]])
-    for idx in range(len(pkb)):  # SC16: every KB member is t or b
-        root = next(site for site, _ in sites if site.formula_index == idx and not site.path)
-        b.add_clauses("SC16", [[val(root, "t"), val(root, "b")]])
-    b_vars = [tri(x, "b") for x in atoms]
-    b.at_most("SC17", [[b_vars]])
+    for vt in roots:  # SC16: every KB member is t or b
+        b.add_clauses("SC16", [[vt, vt + 2]])
+    b.at_most("SC17", [[[bb for _, _, bb in tri.values()]]])
     return b.finish(base_size, u)
 
 
@@ -307,39 +316,37 @@ def encode_forgetting(kb: KnowledgeBase, u: int | None = None) -> SatEncoding:
     pkb = prepared(kb)
     occurrences = pkb.occurrences()
     b = SatEncoding("forgetting")
+    vm = b.varmap
+    value, top, bot = [], [], []
     for occ in occurrences:  # SF1-SF2
-        b.varmap.var((TAG_OCC, occ.atom, occ.label))
-        b.varmap.var((TAG_FORGET_TOP, occ.atom, occ.label))
-        b.varmap.var((TAG_FORGET_BOT, occ.atom, occ.label))
+        value.append(vm.var((TAG_OCC, occ.atom, occ.label)))
+        top.append(vm.var((TAG_FORGET_TOP, occ.atom, occ.label)))
+        bot.append(vm.var((TAG_FORGET_BOT, occ.atom, occ.label)))
     base_size = 3 * len(occurrences)
-
-    def var(tag: str, occ) -> int:
-        return b.varmap.id_of((tag, occ.atom, occ.label))
-
-    by_formula: list[list] = [[] for _ in pkb]
-    for occ in occurrences:
-        by_formula[occ.site.formula_index].append(occ)
-    for formula, occs in zip(pkb, by_formula):  # SF3
-        for occ in occs:
-            formula = replace_at(formula, occ.site.path, Lit(var(TAG_OCC, occ)))
-        b.assert_formula("SF3", formula)
-    world = {x: b.varmap.fresh_aux() for x in pkb.signature()}
-    for occ in occurrences:  # SF-world: a value off the world is forgotten
-        o, w = var(TAG_OCC, occ), world[occ.atom]
-        b.add_clauses("SF-world", [
-            [-o, w, var(TAG_FORGET_TOP, occ)], [o, -w, var(TAG_FORGET_BOT, occ)],
-        ])
-    for occ in occurrences:  # SF4
-        b.add_clauses("SF4", [[-var(TAG_FORGET_TOP, occ), -var(TAG_FORGET_BOT, occ)]])
+    # SF3 meets the atom leaves in reading order, the order of `occurrences`
+    values = iter(value)
+    for formula in pkb:
+        b.assert_formula("SF3", formula, lambda _atom: next(values))
+    world = {x: vm.fresh_aux() for x in pkb.signature()}
+    b.add_clauses("SF-world", [  # a value off the world is forgotten
+        clause
+        for occ, o, t, f in zip(occurrences, value, top, bot)
+        for clause in ([-o, world[occ.atom], t], [o, -world[occ.atom], f])
+    ])
+    b.add_clauses("SF4", [[-t, -f] for t, f in zip(top, bot)])
     # SF5 counts forgotten occurrences: d_{X,l} holds when either switch of
     # X^l does, and SF4 makes the two exclusive, so the count is unchanged
     # while the counter takes |Occ| inputs instead of 2 * |Occ|; one part
     # per formula.
+    by_formula: list[list[int]] = [[] for _ in pkb]
+    for j, occ in enumerate(occurrences):
+        by_formula[occ.site.formula_index].append(j)
     forgotten = []
-    for occs in by_formula:
-        part = [b.varmap.fresh_aux() for _ in occs]
-        for occ, d in zip(occs, part):
-            b.add_clauses("SF5", [[-var(TAG_FORGET_TOP, occ), d], [-var(TAG_FORGET_BOT, occ), d]])
+    for js in by_formula:
+        part = [vm.fresh_aux() for _ in js]
+        b.add_clauses("SF5", [
+            clause for j, d in zip(js, part) for clause in ([-top[j], d], [-bot[j], d])
+        ])
         forgotten.append(part)
     b.at_most("SF5", [forgotten])
     return b.finish(base_size, u)
@@ -400,8 +407,7 @@ def encode_hs(kb: KnowledgeBase, blocks: int | None = None) -> SatEncoding:
     def add_block(enc: SatEncoding, i: int) -> None:
         vm = enc.varmap
         start = len(vm) + 1
-        for x in atoms:  # SH1
-            vm.var((TAG_COPY, x, i))
+        copies = {x: vm.var((TAG_COPY, x, i)) for x in atoms}  # SH1
         for idx in range(len(pkb)):  # SH2
             member[idx].append(vm.var((TAG_BLOCK, idx, i)))
         enc.add_clauses("SH-order", [[-member[idx][-1]] for idx in range(i - 1)])
@@ -409,8 +415,8 @@ def encode_hs(kb: KnowledgeBase, blocks: int | None = None) -> SatEncoding:
         if i == 1:  # SH3, clausified once
             begin = time.perf_counter()
             for idx, formula in reversed(list(enumerate(pkb))):
-                copy = substitute_atoms(formula, lambda x: Lit(vm.id_of((TAG_COPY, x, 1))))
-                tseitin_append(Implies(Lit(member[idx][0]), copy), vm, template)
+                tseitin_append(Implies(Lit(member[idx][0]), formula), vm, template,
+                               copies.__getitem__)
                 clauses_from[idx], width_from[idx] = len(template), len(vm) + 1 - start
             enc.cnf_transform_seconds += time.perf_counter() - begin
         while len(vm) + 1 < start + width_from[i - 1]:  # the live Tseitin auxiliaries
@@ -465,34 +471,29 @@ def _encode_distance_common(
     atoms = pkb.signature()
     n = len(pkb)
     b = SatEncoding("max-distance" if per_formula_bound else "sum-distance")
-    for x in atoms:  # SDM1/SDS1
-        b.varmap.var((TAG_OPT, x))
+    vm = b.varmap
+    opt = [vm.var((TAG_OPT, x)) for x in atoms]  # SDM1/SDS1
+    copies: list[dict[str, int]] = [{} for _ in pkb]  # x_i, by index from 0
+    invs: list[dict[str, int]] = [{} for _ in pkb]
     for x in atoms:  # SDM2-SDM3 / SDS2-SDS3
-        for i in range(1, n + 1):
-            b.varmap.var((TAG_COPY, x, i))
-            b.varmap.var((TAG_INV, x, i))
+        for i in range(n):
+            copies[i][x] = vm.var((TAG_COPY, x, i + 1))
+            invs[i][x] = vm.var((TAG_INV, x, i + 1))
     base_size = len(atoms) + 2 * n * len(atoms)
-    for idx, formula in enumerate(pkb):  # SDM4/SDS4: assert the i-th copy
-        i = idx + 1
-        copy = substitute_atoms(formula, lambda x, i=i: Lit(b.varmap.id_of((TAG_COPY, x, i))))
-        b.assert_formula(f"{tags}4", copy)
+    for formula, copy in zip(pkb, copies):  # SDM4/SDS4: assert the i-th copy
+        b.assert_formula(f"{tags}4", formula, copy.__getitem__)
     mentioned = [atoms_of(formula) for formula in pkb]
-    for x in atoms:  # SDM5-SDM6 / SDS5-SDS6: xi != xo implies inv
-        xo = b.varmap.id_of((TAG_OPT, x))
-        for i in range(1, n + 1):
-            xi = b.varmap.id_of((TAG_COPY, x, i))
-            inv = b.varmap.id_of((TAG_INV, x, i))
-            if x in mentioned[i - 1]:
+    for x, xo in zip(atoms, opt):  # SDM5-SDM6 / SDS5-SDS6: xi != xo implies inv
+        for i in range(n):
+            xi, inv = copies[i][x], invs[i][x]
+            if x in mentioned[i]:
                 b.add_clauses(f"{tags}5", [[-xi, xo, inv]])
                 b.add_clauses(f"{tags}6", [[xi, -xo, inv]])
             else:  # the i-th formula ignores xi: fix the pair at level 0
                 b.add_clauses(f"{tags}-free", [[-xi], [-inv]])
     # SDM7/SDS7 count inv(x, i) only for the atoms x that the i-th formula
     # mentions: the inv of any other atom is fixed false above.
-    groups = [
-        [b.varmap.id_of((TAG_INV, x, i)) for x in sorted(atoms_i)]
-        for i, atoms_i in enumerate(mentioned, 1)
-    ]
+    groups = [[inv[x] for x in sorted(atoms_i)] for inv, atoms_i in zip(invs, mentioned)]
     if per_formula_bound:  # SDM7: one bound per formula index
         b.at_most("SDM7", [[g] for g in groups])
     else:  # SDS7: one bound on the sum of the per-formula counts
@@ -516,16 +517,13 @@ def encode_dhit(kb: KnowledgeBase, u: int | None = None) -> SatEncoding:
     pkb = prepared(kb)
     atoms = pkb.signature()
     b = SatEncoding("hit-distance")
-    for idx in range(len(pkb)):  # SDH1
-        b.varmap.var((TAG_HIT, idx))
-    for x in atoms:  # SDH2
-        b.varmap.var((TAG_ATOM, x))
+    vm = b.varmap
+    hits = [vm.var((TAG_HIT, idx)) for idx in range(len(pkb))]  # SDH1
+    atom_ids = {x: vm.var((TAG_ATOM, x)) for x in atoms}  # SDH2
     base_size = len(atoms) + len(pkb)
-    for idx, formula in enumerate(pkb):  # SDH3
-        # Atom leaves clausify to the (atom, x) variables allocated above.
-        b.assert_formula("SDH3", Or(formula, Lit(b.varmap.id_of((TAG_HIT, idx)))))
-    hit_vars = [b.varmap.id_of((TAG_HIT, idx)) for idx in range(len(pkb))]
-    b.at_most("SDH4", [[hit_vars]])
+    for formula, hit in zip(pkb, hits):  # SDH3
+        b.assert_formula("SDH3", Or(formula, Lit(hit)), atom_ids.__getitem__)
+    b.at_most("SDH4", [[hits]])
     return b.finish(base_size, u)
 
 

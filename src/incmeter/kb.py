@@ -448,19 +448,21 @@ def reduce_connectives(f: Formula) -> Formula:
     """Rewrite => and <=> in terms of !, &&, ||.
 
     The rewriting preserves both the classical and the three-valued
-    (paraconsistent) truth value of the formula.
+    (paraconsistent) truth value of the formula.  A node none of whose
+    children changed is returned as it is.
     """
     if isinstance(f, (Atom, Top, Bottom)):
         return f
     if isinstance(f, Not):
-        return Not(reduce_connectives(f.child))
+        child = reduce_connectives(f.child)
+        return f if child is f.child else Not(child)
     left = reduce_connectives(f.left)
     right = reduce_connectives(f.right)
     if isinstance(f, Implies):
         return Or(Not(left), right)
     if isinstance(f, Iff):
         return And(Or(Not(left), right), Or(Not(right), left))
-    return type(f)(left, right)
+    return f if left is f.left and right is f.right else type(f)(left, right)
 
 
 def reduce_kb(kb: KnowledgeBase) -> KnowledgeBase:
@@ -469,7 +471,8 @@ def reduce_kb(kb: KnowledgeBase) -> KnowledgeBase:
 
 def fold_constants(f: Formula) -> Formula:
     """Eliminate +/- leaves; the result is constant-free unless it is itself
-    a constant.  Folding preserves two- and three-valued truth values."""
+    a constant.  Folding preserves two- and three-valued truth values.  A
+    node none of whose children changed is returned as it is."""
     if isinstance(f, (Atom, Top, Bottom)):
         return f
     if isinstance(f, Not):
@@ -478,7 +481,7 @@ def fold_constants(f: Formula) -> Formula:
             return BOTTOM
         if isinstance(c, Bottom):
             return TOP
-        return Not(c)
+        return f if c is f.child else Not(c)
     left = fold_constants(f.left)
     right = fold_constants(f.right)
     if isinstance(f, And):
@@ -488,7 +491,7 @@ def fold_constants(f: Formula) -> Formula:
             return right
         if isinstance(right, Top):
             return left
-        return And(left, right)
+        return f if left is f.left and right is f.right else And(left, right)
     if isinstance(f, Or):
         if isinstance(left, Top) or isinstance(right, Top):
             return TOP
@@ -496,7 +499,7 @@ def fold_constants(f: Formula) -> Formula:
             return right
         if isinstance(right, Bottom):
             return left
-        return Or(left, right)
+        return f if left is f.left and right is f.right else Or(left, right)
     if isinstance(f, Implies):
         return fold_constants(Or(Not(left), right))
     assert isinstance(f, Iff)
