@@ -21,7 +21,8 @@ from . import bench, encodings
 from .kb import KbSyntaxError, KnowledgeBase, load_kb
 from .oracles import CapExceededError, MeasureUndefinedError
 from .search import METHODS, RunConfig, SearchOutcome, compute
-from .solver import BackendConfig, BackendUnavailableError, SolverOutputError, emit_dimacs, emit_wcnf
+from .solver import (MAX_TIMEOUT, BackendConfig, BackendUnavailableError, SolverOutputError,
+                     emit_dimacs, emit_wcnf)
 from .values import MEASURES, format_value
 
 EXIT_OK = 0
@@ -44,7 +45,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_backend_flags(p):
-        p.add_argument("--timeout", type=float, default=600.0, help="seconds per query")
+        p.add_argument("--timeout", type=float, default=600.0,
+                       help="seconds for the whole computation (bench: for each run), "
+                       f"at most {MAX_TIMEOUT:.0f}")
         p.add_argument("--sat-solver", default=os.environ.get(SAT_SOLVER_ENV) or None,
                        help=f"external DIMACS solver binary (default: ${SAT_SOLVER_ENV}, "
                        "else the built-in engine)")

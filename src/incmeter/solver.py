@@ -56,14 +56,21 @@ class SolverResult:
         return self.status is SolveStatus.SAT
 
 
+# The longest limit, in seconds, that the external bridges can wait for:
+# ``subprocess.run`` waits by ``poll``, which takes a C int of milliseconds
+# (2**31 - 1 ms); from 2,147,484 s on it raises ``OverflowError``.
+MAX_TIMEOUT = 2_147_483.0
+
+
 @dataclass(frozen=True)
 class BackendConfig:
     solver_path: str | None = None  # an external DIMACS solver; None: the internal engine
     timeout: float = 600.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ValueError("timeout must be a finite positive number")
+        if not (math.isfinite(self.timeout) and 0 < self.timeout <= MAX_TIMEOUT):
+            raise ValueError(
+                f"timeout must be a finite positive number of at most {MAX_TIMEOUT:.0f} seconds")
 
 
 class BackendUnavailableError(RuntimeError):

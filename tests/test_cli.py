@@ -224,6 +224,22 @@ def test_timeout_that_is_not_finite_is_a_usage_error(kb_file, capsys, timeout):
     assert "timeout must be a finite positive number" in err
 
 
+@pytest.mark.parametrize("command", ["measure", "bench"])
+def test_timeout_beyond_what_the_bridges_can_wait_for_is_a_usage_error(
+    kb_file, capsys, tmp_path, command
+):
+    """An external solver cannot be waited for 3e6 s: a usage error, exit 1,
+    not an OverflowError from inside ``subprocess.run``."""
+    path = kb_file("k4.kb", "x&&y\n!y\n")
+    extra = ["--measure", "contension"] if command == "measure" else [
+        "--measures", "contension", "--methods", "sat-binary", "--out", str(tmp_path / "out")]
+    code, out, err = run_cli(
+        capsys, command, *extra, "--sat-solver", "/bin/cat", "--timeout", "3e6", path
+    )
+    assert code == 1 and out == ""
+    assert "timeout must be a finite positive number of at most 2147483 seconds" in err
+
+
 def test_sat_solver_env_selects_the_backend(kb_file, fake_solver, capsys, monkeypatch):
     """$INCMETER_SAT_SOLVER is the default of --sat-solver: a missing binary is
     a backend failure, and a working one answers without the internal engine."""

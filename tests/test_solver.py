@@ -9,6 +9,7 @@ import pytest
 from incmeter.cnf import CnfInstance, tseitin_append, VarMap
 from incmeter.kb import parse_kb
 from incmeter.solver import (
+    MAX_TIMEOUT,
     BackendConfig,
     BackendUnavailableError,
     HardClausesUnsatisfiableError,
@@ -256,6 +257,15 @@ def test_external_backend_timeout_kills_process(sleepy_solver):
 def test_timeout_must_be_finite_and_positive(timeout):
     with pytest.raises(ValueError):
         BackendConfig(timeout=timeout)
+
+
+def test_timeout_beyond_what_the_bridges_can_wait_for_is_rejected():
+    """``subprocess.run`` cannot wait 3e6 s, so no backend takes that limit."""
+    with pytest.raises(ValueError):
+        BackendConfig(timeout=3e6)
+    with pytest.raises(ValueError):
+        BackendConfig(solver_path="/bin/cat", timeout=MAX_TIMEOUT * 1.000001)
+    assert BackendConfig(solver_path="/bin/cat", timeout=MAX_TIMEOUT).timeout == MAX_TIMEOUT
 
 
 # --- MaxSAT ----------------------------------------------------------------
