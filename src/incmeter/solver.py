@@ -20,7 +20,6 @@ assumptions before being surfaced.
 from __future__ import annotations
 
 import heapq
-import math
 import os
 import shutil
 import subprocess
@@ -68,7 +67,7 @@ class BackendConfig:
     timeout: float = 600.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.timeout) and 0 < self.timeout <= MAX_TIMEOUT):
+        if not 0 < self.timeout <= MAX_TIMEOUT:  # nan fails both comparisons
             raise ValueError(
                 f"timeout must be a finite positive number of at most {MAX_TIMEOUT:.0f} seconds")
 
