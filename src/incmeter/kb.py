@@ -96,12 +96,16 @@ def formula_size(f: Formula) -> int:
     return 1 + sum(formula_size(c) for c in children(f))
 
 
-def atoms_of(f: Formula) -> set[str]:
-    if isinstance(f, Atom):
-        return {f.name}
-    out: set[str] = set()
-    for c in children(f):
-        out |= atoms_of(c)
+def atoms_of(f: Formula, out: set[str] | None = None) -> set[str]:
+    """The atoms of `f`, added to `out` if one is given."""
+    out = set() if out is None else out
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            out.add(node.name)
+        else:
+            stack += children(node)
     return out
 
 
@@ -170,7 +174,7 @@ class KnowledgeBase:
     def __post_init__(self) -> None:
         names: set[str] = set()
         for f in self.formulas:
-            names |= atoms_of(f)
+            atoms_of(f, names)
         object.__setattr__(self, "_sig", tuple(sorted(names)))
 
     def __len__(self) -> int:
@@ -200,10 +204,17 @@ class KnowledgeBase:
         """Atom occurrences in reading order; labels count per atom, KB-wide."""
         counts: dict[str, int] = {}
         out: list[AtomOccurrence] = []
-        for site, node in self.subformula_sites():
+
+        def walk(node: Formula, path: tuple[int, ...]) -> None:
             if isinstance(node, Atom):
-                counts[node.name] = counts.get(node.name, 0) + 1
-                out.append(AtomOccurrence(node.name, counts[node.name], site))
+                label = counts[node.name] = counts.get(node.name, 0) + 1
+                out.append(AtomOccurrence(node.name, label, Site(idx, path)))
+            else:
+                for i, c in enumerate(children(node)):
+                    walk(c, path + (i,))
+
+        for idx, f in enumerate(self.formulas):
+            walk(f, ())
         return out
 
     def count_occurrences(self, atom: str) -> int:

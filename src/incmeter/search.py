@@ -148,33 +148,33 @@ class _Session:
     def probe(self, bound: int | None) -> bool | None:
         """One upper-bound query; None signals a timeout, before or in the solver."""
         clock = self.clock
-        begin = time.perf_counter()
-        tseitin_before = self.enc.cnf_transform_seconds if self.enc else 0.0
-        if self.enc is None:
-            self.enc = self.build()
-        enc = self.enc
-        if self.settled is not None:
-            assumptions = self.settled
-        else:
+        acc = clock.acc
+        enc, assumptions = self.enc, self.settled
+        begin = begin_solving = time.perf_counter()
+        if assumptions is None:  # not settled: encode the bound (a settled probe adds nothing)
+            tseitin_before = enc.cnf_transform_seconds if enc else 0.0
+            if enc is None:
+                enc = self.enc = self.build()
             assumptions = [] if bound is None else enc.assume(bound)
-        tseitin = enc.cnf_transform_seconds - tseitin_before
-        clock.acc["cnfTransform"] += tseitin
-        clock.acc["encoding"] += time.perf_counter() - begin - tseitin
+            tseitin = enc.cnf_transform_seconds - tseitin_before
+            acc["cnfTransform"] += tseitin
+            begin_solving = time.perf_counter()
+            acc["encoding"] += begin_solving - begin - tseitin
         if time.monotonic() >= self.deadline:
             return None
         self.model = None  # not held while the next call runs
-        begin = time.perf_counter()
         result = solve(enc.cnf, self.backend, assumptions, self.deadline)
-        clock.acc["solving"] += time.perf_counter() - begin
+        acc["solving"] += time.perf_counter() - begin_solving
         clock.calls += 1
-        for name in ENGINE_COUNTERS:
-            clock.counters[name] += getattr(result, name)
+        counters = clock.counters
+        counters["decisions"] += result.decisions
+        counters["propagations"] += result.propagations
+        counters["conflicts"] += result.conflicts
+        counters["restarts"] += result.restarts
         if result.status is SolveStatus.TIMEOUT:
             return None
-        if result.refuted:
-            self.settled = []
-        elif result.status is SolveStatus.UNSAT and self.settled is None:
-            self.settled = fixed_false(enc.cnf, enc.settling)[:1] or None
+        if self.settled is None and result.status is SolveStatus.UNSAT:
+            self.settled = [] if result.refuted else fixed_false(enc.cnf, enc.settling)[:1] or None
         self.model = result.model
         return result.status is SolveStatus.SAT
 

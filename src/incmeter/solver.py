@@ -110,10 +110,13 @@ class _Cdcl:
     so ``assign[v]`` is also variable v's value.  As in MiniSat, the trail
     index at which each level above 0 opened is kept, so a backtrack undoes
     one slice of the trail.  Loading takes a 2- or 3-literal clause of free,
-    distinct variables as it stands, with no marks; every other clause is
-    simplified against the level-0 facts first.  None of this enters the
-    search: the same calls give the same decisions, propagations, conflicts,
-    learned clauses, restarts and models.
+    distinct variables as it stands and a unit clause true or free at level
+    0 with no marks; every other clause is simplified against the level-0
+    facts first.  The clauses between two clock reads load as one run, with
+    no clock test per clause.  None of this enters the search: the same
+    calls give the same decisions, propagations, conflicts, learned clauses,
+    restarts, ticks and models.  A call returns one fresh
+    :class:`SolverResult` holding its verdict, model and work counts.
     """
 
     CHECK_EVERY = 2048  # ticks (propagated literals, decisions, loaded clauses)
@@ -163,8 +166,6 @@ class _Cdcl:
 
     def load(self, cnf: CnfInstance) -> None:
         """Add the variables and clauses appended to `cnf` since the last call."""
-        if self.loaded == len(cnf.clauses) and self.n == cnf.num_vars:
-            return  # nothing appended
         extra = cnf.num_vars - self.n
         if extra > 0:
             # new literals go between the positive and the negative ends
@@ -181,68 +182,77 @@ class _Cdcl:
         # Each clause is simplified against the level-0 facts: repeated and
         # false literals dropped, satisfied or tautological clauses skipped,
         # a unit enqueued at level 0, an empty clause refuting the instance.
-        # A clause of two or three free literals on distinct variables needs
-        # none of that and is stored as it stands.
+        # A unit clause, and a clause of two or three free literals on
+        # distinct variables, needs no marks and takes a shorter road.
         clauses, end = cnf.clauses, len(cnf.clauses)
-        assign, seen, watches = self.assign, self.seen, self.watches
-        ticks = self.ticks
+        assign, seen, watches, enqueue = self.assign, self.seen, self.watches, self._enqueue
+        ticks, deadline = self.ticks, self.deadline
         check = self.CHECK_EVERY
-        # the clock is read on every tick that is a multiple of CHECK_EVERY
-        check_at = -1 if self.deadline is None else (ticks // check + 1) * check
-        i = self.loaded if self.ok else end  # a refuted engine takes no more clauses
-        while i < end:
-            ticks += 1
-            if ticks == check_at:
-                if time.monotonic() > self.deadline:
-                    self.loaded, self.ticks = i, ticks - 1  # clause i neither loaded nor counted
+        i = self.loaded
+        while i < end and self.ok:  # a refuted engine takes no more clauses
+            # Clause i counts tick ticks + 1.  The clock is read before the
+            # clause whose tick is a multiple of CHECK_EVERY, so the clauses
+            # before that one load as a run with no clock test.
+            run_end = end if deadline is None else min(end, i + check - 1 - ticks % check)
+            if run_end == i:
+                if time.monotonic() > deadline:
+                    self.loaded, self.ticks = i, ticks  # clause i neither loaded nor counted
                     raise _DeadlineReached
-                check_at += check
-            clause = clauses[i]
-            i += 1
-            width = len(clause)
-            if width == 2:
-                a, b = clause
-                if not assign[a] and not assign[b] and a != b and a != -b:
-                    clause = [a, b]
-                    watches[-a].append(clause)
-                    watches[-b].append(clause)
+                run_end = min(end, i + check)
+            start = i
+            for i in range(start, run_end):
+                clause = clauses[i]
+                width = len(clause)
+                if width == 2:
+                    a, b = clause
+                    if not assign[a] and not assign[b] and a != b and a != -b:
+                        clause = [a, b]
+                        watches[-a].append(clause)
+                        watches[-b].append(clause)
+                        continue
+                elif width == 3:
+                    a, b, c = clause
+                    if (not assign[a] and not assign[b] and not assign[c]
+                            and a != b and a != -b and a != c and a != -c and b != c and b != -c):
+                        clause = [a, b, c]
+                        watches[-a].append(clause)
+                        watches[-b].append(clause)
+                        continue
+                elif width == 1 and assign[clause[0]] >= 0:  # a false one refutes below
+                    if not assign[clause[0]]:
+                        enqueue(clause[0], None, 0)
                     continue
-            elif width == 3:
-                a, b, c = clause
-                if (not assign[a] and not assign[b] and not assign[c]
-                        and a != b and a != -b and a != c and a != -c and b != c and b != -c):
-                    clause = [a, b, c]
-                    watches[-a].append(clause)
-                    watches[-b].append(clause)
-                    continue
-            kept: list[int] = []
-            skip = False
-            for lit in clause:
-                var, mark = (lit, 1) if lit > 0 else (-lit, 2)
-                if seen[var]:
-                    if seen[var] != mark:
-                        skip = True  # tautology
+                kept: list[int] = []
+                skip = False
+                for lit in clause:
+                    var, mark = (lit, 1) if lit > 0 else (-lit, 2)
+                    if seen[var]:
+                        if seen[var] != mark:
+                            skip = True  # tautology
+                            break
+                        continue
+                    val = assign[lit]
+                    if val > 0:
+                        skip = True  # satisfied for good
                         break
+                    if val == 0:
+                        seen[var] = mark
+                        kept.append(lit)
+                for lit in kept:
+                    seen[lit if lit > 0 else -lit] = 0
+                if skip:
                     continue
-                val = assign[lit]
-                if val > 0:
-                    skip = True  # satisfied for good
+                if len(kept) > 1:
+                    watches[-kept[0]].append(kept)
+                    watches[-kept[1]].append(kept)
+                elif kept:
+                    enqueue(kept[0], None, 0)
+                else:
+                    self.ok = False
                     break
-                if val == 0:
-                    seen[var] = mark
-                    kept.append(lit)
-            for lit in kept:
-                seen[lit if lit > 0 else -lit] = 0
-            if skip:
-                continue
-            if len(kept) > 1:
-                watches[-kept[0]].append(kept)
-                watches[-kept[1]].append(kept)
-            elif kept:
-                self._enqueue(kept[0], None, 0)
-            else:
-                self.ok = False
-                break
+            # i is the run's last clause, or the refuting one
+            ticks += i + 1 - start
+            i += 1
         self.loaded, self.ticks = end, ticks
 
     def _propagate(self, level: int) -> list[int] | None:
@@ -473,21 +483,21 @@ class _Cdcl:
         return var if var <= n else 0
 
     def solve(self, assumptions: Sequence[int] = ()) -> SolverResult:
+        if not self.ok:
+            return SolverResult(SolveStatus.UNSAT, None, True)
         self.decisions = self.propagations = self.conflicts = self.restarts = 0
         try:
-            result = self._search(assumptions)
+            status, model = self._search(assumptions)
         except _DeadlineReached:
-            result = SolverResult(SolveStatus.TIMEOUT)
+            status, model = SolveStatus.TIMEOUT, None
         finally:
-            self._backtrack(0)
-        result.decisions, result.propagations = self.decisions, self.propagations
-        result.conflicts, result.restarts = self.conflicts, self.restarts
-        return result
+            if self.lim:
+                self._backtrack(0)
+        return SolverResult(status, model, not self.ok, self.decisions, self.propagations,
+                            self.conflicts, self.restarts)
 
-    def _search(self, assumptions: Sequence[int]) -> SolverResult:
-        refuted = SolverResult(SolveStatus.UNSAT, refuted=True)
-        if not self.ok:
-            return refuted
+    def _search(self, assumptions: Sequence[int]) -> tuple[SolveStatus, dict[int, bool] | None]:
+        """The verdict and the model, if any; a level-0 conflict clears `ok`."""
         assign, saved = self.assign, self.saved
         propagate, decide, enqueue = self._propagate, self._decide, self._enqueue
         level = 0
@@ -498,7 +508,7 @@ class _Cdcl:
                 self.conflicts += 1
                 if level == 0:
                     self.ok = False
-                    return refuted
+                    return SolveStatus.UNSAT, None
                 learned, back_level = self._analyze(conflict, level)
                 self._backtrack(back_level)
                 level = back_level
@@ -522,14 +532,13 @@ class _Cdcl:
             while not lit and level < len(assumptions):
                 val = assign[assumptions[level]]
                 if val < 0:
-                    return SolverResult(SolveStatus.UNSAT)
+                    return SolveStatus.UNSAT, None
                 lit = assumptions[level] if val == 0 else 0
                 level += 1
             if not lit:
                 var = decide()
                 if var == 0:
-                    model = {v: assign[v] > 0 for v in range(1, self.n + 1)}
-                    return SolverResult(SolveStatus.SAT, model)
+                    return SolveStatus.SAT, {v: assign[v] > 0 for v in range(1, self.n + 1)}
                 self.decisions += 1
                 level += 1
                 lit = var if saved[var] else -var
@@ -564,17 +573,17 @@ def solve_internal(
     deterministic: no randomized choices, ties broken by variable index, so
     identical call sequences give identical models and work counts.
     """
-    if cnf.engine is None:
-        cnf.engine = _Cdcl()
     engine = cnf.engine
+    if engine is None:
+        engine = cnf.engine = _Cdcl()
     engine.deadline = deadline
-    try:
-        engine.load(cnf)
-    except _DeadlineReached:
-        return SolverResult(SolveStatus.TIMEOUT)
+    if engine.loaded != len(cnf.clauses) or engine.n != cnf.num_vars:
+        try:
+            engine.load(cnf)
+        except _DeadlineReached:
+            return SolverResult(SolveStatus.TIMEOUT)
     result = engine.solve(assumptions)
-    if result.status is SolveStatus.SAT:
-        assert result.model is not None
+    if result.model is not None:
         _verify_model(cnf, result.model, assumptions)
     return result
 

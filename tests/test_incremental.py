@@ -16,6 +16,7 @@ from incmeter.bench import SrsParams, generate_corpus
 from incmeter.cardinality import SumCounter
 from incmeter.cnf import TAG_BLOCK, TAG_COPY, TAG_INV, CnfInstance, VarMap
 from incmeter.encodings import (
+    SatEncoding,
     encode,
     encode_contension_maxsat,
     expected_base_size,
@@ -640,6 +641,52 @@ def test_load_cut_by_the_deadline_resumes_at_the_first_unloaded_clause():
     assert engine_state(cut) == engine_state(whole)
 
 
+@given(st.lists(st.lists(literals, min_size=1, max_size=5), max_size=24), st.integers(0, 30))
+def test_loading_by_runs_equals_loading_clause_by_clause(raw, offset):
+    """Clauses of 1-5 literals (repeats, tautologies, units true, free or
+    false at level 0, refuting clauses) loaded at once, in runs between
+    clock reads, leave the trail, watch lists, ok, loaded and ticks of one
+    load per clause, and keep what simplifying them says.  The ticks start
+    so that the clock is read before clause `offset`: a past deadline cuts
+    the load there, and loading the rest gives the state of the uncut load."""
+    start = _Cdcl.CHECK_EVERY - 1 - offset
+
+    def fresh(deadline):
+        engine = _Cdcl()
+        engine.ticks, engine.deadline = start, deadline
+        return engine
+
+    def state(engine):
+        return engine.trail, engine.watches, engine.assign, engine.ok, engine.loaded, engine.ticks
+
+    later = time.monotonic() + 3600
+    whole = fresh(later)
+    whole.load(CnfInstance(N_VARS, raw))
+    fixed, kept, refuted = _simplified([], raw)
+    # a refuting clause is the last one counted
+    counted = next((k + 1 for k in range(len(raw)) if _simplified([], raw[:k + 1])[2]), len(raw))
+    assert whole.ok is not refuted and whole.trail == fixed and not any(whole.seen)
+    assert whole.loaded == len(raw) and whole.ticks == start + counted
+    if not refuted:
+        assert sorted(_watched(whole).values()) == sorted(kept)
+    one_by_one = fresh(later)
+    growing = CnfInstance(N_VARS, [])
+    one_by_one.load(growing)
+    for clause in raw:
+        growing.clauses.append(clause)
+        one_by_one.load(growing)
+    assert state(one_by_one) == state(whole)
+    cut = fresh(time.monotonic() - 1.0)
+    cnf = CnfInstance(N_VARS, raw)
+    if offset < counted:
+        with pytest.raises(_DeadlineReached):
+            cut.load(cnf)
+        assert (cut.loaded, cut.ticks) == (offset, start + offset) and not any(cut.seen)
+        cut.deadline = None
+    cut.load(cnf)
+    assert state(cut) == state(whole)
+
+
 def test_engine_grows_across_loads_and_agrees_with_fresh_solves():
     """One engine's variable count grows from a few to several hundred over
     many loads.  Its per-literal arrays stay consistent, and its level-0
@@ -804,6 +851,37 @@ def test_settled_linear_search_stops_growing_the_instance(monkeypatch, k7):
     assert first < len(seen) - 2
     assert seen[first][0] != []  # settled on a membership, not refuted
     assert {(clauses, num_vars) for _, clauses, num_vars in seen[first:]} == {seen[first][1:]}
+
+
+def test_settled_probe_is_one_solver_call_answered_at_once(monkeypatch):
+    """Once the first probe of a sum-distance search on an inf KB refutes
+    the clauses, each later probe is one search.solve call and nothing more:
+    no bound is encoded, and each call returns a fresh refuted result with
+    no engine work.  The phase times stay inside the run's total."""
+    kb = parse_kb("x && !x\ny || z\n!z && w")
+    results, assumed = [], []
+    real_solve, real_assume = search.solve, SatEncoding.assume
+
+    def solve_counted(*args):
+        results.append(real_solve(*args))
+        return results[-1]
+
+    def assume_counted(enc, bound):
+        assumed.append(bound)
+        return real_assume(enc, bound)
+
+    monkeypatch.setattr(search, "solve", solve_counted)
+    monkeypatch.setattr(SatEncoding, "assume", assume_counted)
+    out = linear_search("sum-distance", kb)
+    assert out.value == INF
+    assert out.solver_calls == len(results) == search.search_range("sum-distance", kb).size > 2
+    assert assumed == [0]
+    assert all(r.status is SolveStatus.UNSAT and r.refuted for r in results)
+    assert len({id(r) for r in results}) == len(results)
+    for r in results[1:]:
+        assert (r.model, r.decisions, r.propagations, r.conflicts, r.restarts) == (None, 0, 0, 0, 0)
+    phases = out.phase_times
+    assert phases["encoding"] + phases["cnfTransform"] + phases["solving"] <= out.total_seconds
 
 
 def test_settled_membership_is_one_its_formula_may_take(k7):

@@ -1,12 +1,17 @@
 """Formula AST, parser, KB derivations, and two-valued semantics."""
 
+import random
+
 import pytest
 from hypothesis import given
 
 from conftest import hypothesis_formulas
+from incmeter.bench import SrsParams, generate_corpus
+from incmeter.encodings import prepare_kb
 from incmeter.kb import (
     And,
     Atom,
+    AtomOccurrence,
     BOTTOM,
     Bottom,
     Iff,
@@ -17,6 +22,7 @@ from incmeter.kb import (
     Or,
     TOP,
     Top,
+    atoms_of,
     count_occurrences,
     enumerate_models,
     eval2,
@@ -154,6 +160,35 @@ def test_occurrence_total_is_leaf_count(k5, k7):
 
 def test_empty_kb_has_no_occurrences(empty_kb):
     assert empty_kb.occurrences() == []
+
+
+def _occurrences_of_all_sites(kb):
+    """The atom occurrences read off the sites of every subformula."""
+    counts = {}
+    out = []
+    for site, node in kb.subformula_sites():
+        if isinstance(node, Atom):
+            counts[node.name] = counts.get(node.name, 0) + 1
+            out.append(AtomOccurrence(node.name, counts[node.name], site))
+    return out
+
+
+def test_occurrences_and_atoms_match_the_sites_of_every_subformula():
+    """On the sat-mix base corpus and 200 seeded KBs with every connective
+    and both constants, given and prepared: the occurrences are the atom
+    leaves among all sites, with the same labels, sites and order, and
+    atoms_of and the signature name the atoms those leaves hold."""
+    from test_encodings import _connective_kb
+
+    rng = random.Random(31)
+    kbs = [kb for _, kb in generate_corpus(SrsParams(6, 8, 14, seed=7), 20)]
+    kbs += [_connective_kb(rng) for _ in range(200)]
+    for kb in kbs + [prepare_kb(kb) for kb in kbs]:
+        occurrences = kb.occurrences()
+        assert occurrences == _occurrences_of_all_sites(kb)
+        for idx, f in enumerate(kb):
+            assert atoms_of(f) == {o.atom for o in occurrences if o.site.formula_index == idx}
+        assert kb.signature() == tuple(sorted({o.atom for o in occurrences}))
 
 
 def test_eval2_basics():
