@@ -22,7 +22,6 @@ from .kb import (
     Or,
     Top,
     fold_constants,
-    reduce_connectives,
 )
 
 # Variable name tags. Names are tuples whose first element is one of these;
@@ -50,7 +49,7 @@ class VarMap:
     def __init__(self, top: int = 0) -> None:
         """Ids 1..`top` are taken already, by auxiliary variables."""
         self._by_name: dict[VarName, int] = {}
-        self._by_id: dict[int, VarName] = {}
+        self._by_id: dict[int, VarName] = {}  # rebuilt by name_of when stale
         self._top = top
 
     def __len__(self) -> int:
@@ -59,12 +58,21 @@ class VarMap:
     def var(self, name: VarName) -> int:
         """Return the id for `name`, allocating a fresh variable if needed."""
         vid = self._by_name.get(name)
-        if vid is None:
-            self._top += 1
-            vid = self._top
-            self._by_name[name] = vid
-            self._by_id[vid] = name
-        return vid
+        return self.run([name])[0] if vid is None else vid
+
+    def run(self, names: list[VarName]) -> range:
+        """Allocate a named-variable family as one run of fresh ids, `names`
+        in order, and return the run: one dict update, after which a rule
+        finds each id by arithmetic on the run.  A name taken already, or
+        twice, raises (the map is then unusable): one length check of the
+        name index after the update detects it."""
+        ids = range(self._top + 1, self._top + 1 + len(names))
+        expected = len(self._by_name) + len(names)
+        self._by_name.update(zip(names, ids))
+        if len(self._by_name) != expected:
+            raise ValueError("a variable name in the run is taken already")
+        self._top = ids.stop - 1
+        return ids
 
     def fresh_aux(self) -> int:
         self._top += 1
@@ -76,6 +84,8 @@ class VarMap:
     def name_of(self, vid: int) -> VarName:
         if not 1 <= vid <= self._top:
             raise KeyError(vid)
+        if len(self._by_id) != len(self._by_name):
+            self._by_id = {v: name for name, v in self._by_name.items()}
         return self._by_id.get(vid, (TAG_AUX, vid))
 
     def base_count(self) -> int:
@@ -108,6 +118,50 @@ class Lit(Formula):
     lit: int
 
 
+def _emit(clauses: list[list[int]], clause: list[int]) -> None:
+    """Append `clause` without repeated literals, or nothing if a tautology."""
+    deduped = list(dict.fromkeys(clause))
+    if not any(-lit in deduped for lit in deduped):
+        clauses.append(deduped)
+
+
+def _define(node: Formula, vm: VarMap, clauses: list[list[int]],
+            leaf: Callable[[str], int], const: list[int]) -> int:
+    """The literal that equals `node`: a leaf's own, or a fresh variable
+    defined by a full biconditional per connective, children first."""
+    kind = type(node)
+    if kind is Atom:
+        return leaf(node.name)
+    if kind is Not:
+        return -_define(node.child, vm, clauses, leaf, const)
+    if kind is Lit:
+        return node.lit
+    if kind is Top or kind is Bottom:
+        if not const:  # one variable, true by a unit, serves every constant
+            const.append(vm.fresh_aux())
+            clauses.append([const[0]])
+        return const[0] if kind is Top else -const[0]
+    left, right = node.left, node.right
+    a = leaf(left.name) if type(left) is Atom else _define(left, vm, clauses, leaf, const)
+    b = leaf(right.name) if type(right) is Atom else _define(right, vm, clauses, leaf, const)
+    v = vm.fresh_aux()
+    if kind is And:
+        gate = ([-v, a], [-v, b], [v, -a, -b])
+    elif kind is Or:
+        gate = ([-v, a, b], [v, -a], [v, -b])
+    elif kind is Implies:
+        gate = ([-v, -a, b], [v, a], [v, -b])
+    else:
+        assert kind is Iff
+        gate = ([-v, -a, b], [-v, a, -b], [v, a, b], [v, -a, -b])
+    if a == b or a == -b:  # v is fresh, so only a and b can repeat a variable
+        for clause in gate:
+            _emit(clauses, clause)
+    else:
+        clauses += gate
+    return v
+
+
 def tseitin_append(f: Formula, vm: VarMap, clauses: list[list[int]],
                    leaf: Callable[[str], int] | None = None) -> None:
     """Append clauses equisatisfiable with asserting `f` to `clauses`.
@@ -116,98 +170,50 @@ def tseitin_append(f: Formula, vm: VarMap, clauses: list[list[int]],
     literal that the leaf map `leaf` gives for its name, by default the
     variable named ``(atom, name)`` in `vm`.  The map is called once per
     Atom leaf, in reading order (left to right), so it may hand out one
-    literal per occurrence instead of one per atom.  Every internal
+    literal per occurrence instead of one per atom; every literal a leaf
+    stands for must be a variable of `vm` already.  Every internal
     connective below the top level gets an auxiliary variable constrained by
     a full biconditional (no polarity optimization); negation is folded into
-    literal signs.
+    literal signs.  Repeated literals are dropped from a clause, and a
+    tautological clause is not appended.  The gates are written by a
+    module-level recursive function and the asserted top level is walked by
+    a loop, not by nested closures, so a call leaves no reference cycle.
     """
     leaf = leaf or (lambda name: vm.var((TAG_ATOM, name)))
-    const_true: list[int] = []
-
-    def emit(clause: list[int]) -> None:
-        deduped: list[int] = []
-        for lit in clause:
-            if -lit in deduped:
-                return  # tautology, always satisfied
-            if lit not in deduped:
-                deduped.append(lit)
-        clauses.append(deduped)
-
-    def const_var() -> int:
-        if not const_true:
-            v = vm.fresh_aux()
-            clauses.append([v])
-            const_true.append(v)
-        return const_true[0]
-
-    def walk(node: Formula) -> int:
-        if isinstance(node, Atom):
-            return leaf(node.name)
-        if isinstance(node, Lit):
-            return node.lit
-        if isinstance(node, Top):
-            return const_var()
-        if isinstance(node, Bottom):
-            return -const_var()
-        if isinstance(node, Not):
-            return -walk(node.child)
-        a = walk(node.left)
-        b = walk(node.right)
-        v = vm.fresh_aux()
-        if isinstance(node, And):
-            emit([-v, a])
-            emit([-v, b])
-            emit([v, -a, -b])
-        elif isinstance(node, Or):
-            emit([-v, a, b])
-            emit([v, -a])
-            emit([v, -b])
-        elif isinstance(node, Implies):
-            emit([-v, -a, b])
-            emit([v, a])
-            emit([v, -b])
-        else:
-            assert isinstance(node, Iff)
-            emit([-v, -a, b])
-            emit([-v, a, -b])
-            emit([v, a, b])
-            emit([v, -a, -b])
-        return v
-
-    def assert_true(node: Formula) -> None:
-        # Standard top-level extraction: asserted conjunctions split into
-        # their conjuncts, asserted disjunctions/implications become a single
-        # clause over their disjuncts' literals, asserted biconditionals
-        # become two clauses.  Everything below the top level is definitional.
-        if isinstance(node, And):
-            assert_true(node.left)
-            assert_true(node.right)
-        elif isinstance(node, (Or, Implies)):
+    const: list[int] = []  # the variable true by a unit, once a constant needs it
+    # Standard top-level extraction: asserted conjunctions split into their
+    # conjuncts, asserted disjunctions/implications become a single clause
+    # over their disjuncts' literals, asserted biconditionals become two
+    # clauses.  Everything below the top level is definitional.
+    todo = [f]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is And:
+            todo += (node.right, node.left)
+        elif kind is Or or kind is Implies:
             clause: list[int] = []
             stack = [node]
             while stack:
                 cur = stack.pop()
-                if isinstance(cur, Or):
-                    stack.append(cur.right)
-                    stack.append(cur.left)
-                elif isinstance(cur, Implies):
-                    stack.append(cur.right)
-                    stack.append(Not(cur.left))
-                elif isinstance(cur, Not) and isinstance(cur.child, Not):
+                cur_kind = type(cur)
+                if cur_kind is Or:
+                    stack += (cur.right, cur.left)
+                elif cur_kind is Implies:
+                    stack += (cur.right, Not(cur.left))
+                elif cur_kind is Not and type(cur.child) is Not:
                     stack.append(cur.child.child)
                 else:
-                    clause.append(walk(cur))
-            emit(clause)
-        elif isinstance(node, Iff):
-            a = walk(node.left)
-            b = walk(node.right)
+                    clause.append(_define(cur, vm, clauses, leaf, const))
+            _emit(clauses, clause)
+        elif kind is Iff:
+            a = _define(node.left, vm, clauses, leaf, const)
+            b = _define(node.right, vm, clauses, leaf, const)
             if a != b:
-                emit([-a, b])
-                emit([a, -b])
+                _emit(clauses, [-a, b])
+                _emit(clauses, [a, -b])
         else:
-            emit([walk(node)])
-
-    assert_true(f)
+            clauses.append([_define(node, vm, clauses, leaf, const)])
 
 
 def tseitin(f: Formula, vm: VarMap | None = None) -> CnfInstance:
@@ -236,7 +242,7 @@ def to_clauses_distributive(f: Formula) -> set[Clause] | None:
     alone (i.e. it reduces to the constant `-`).  Tautological clauses are
     dropped, so a valid formula yields the empty set.
     """
-    folded = fold_constants(reduce_connectives(f))
+    folded = fold_constants(f)
     if isinstance(folded, Bottom):
         return None
     if isinstance(folded, Top):

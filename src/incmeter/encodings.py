@@ -10,23 +10,25 @@ registers, blocks) and returns literals to assume, so the instance is encoded
 once per search and only ever grows.  Called with a bound, it builds the
 same and writes that bound's assumptions as unit clauses.
 
-Construction follows a fixed shape: allocate the base signature, write the
-fixed-shape rules as clauses over the ids that allocation returned, clausify
+Construction follows a fixed shape: allocate each named-variable family as
+one run of ids, write the fixed-shape rules as clauses over the ids that
+run returned (per-site and per-pair rules appended in one call), clausify
 the rules that embed a KB formula (SF3, SH3, SDM4/SDS4, SDH3) with the
 Tseitin converter straight from the prepared formula, its atom leaves
 mapped through a leaf map to the literals the rule puts there (an atom's
 copy, an occurrence's value in reading order, the atom itself), and bound
-each counted sum with one ``cardinality.SumCounter`` grown to each probed
-bound: a sequential counter when the sum has one part, and for the sums
-over formulas (SDS7, SF5) a sequential counter per formula merged up a
-tree.  No substituted copy of a formula is built.  Forgetting gives each
-atom occurrence one variable, the value it takes after forgetting, so its
-formulas embed no per-occurrence subformula.  The resulting :class:`SatEncoding`
-records which clause range each rule produced and the size of the base
-signature (auxiliary variables excluded), so structural properties can be
-checked against the per-encoding size formulas.  Every encoder accepts a
-KB that :func:`prepare_kb` already prepared and then does not prepare it
-again."""
+each counted sum with one ``cardinality.SumCounter``, made at the first
+probed bound above 0 and grown to each probed bound: a sequential counter
+when the sum has one part, and for the sums over formulas (SDS7, SF5) a
+sequential counter per formula merged up a tree.  No substituted copy of a
+formula is built.  Forgetting gives each atom occurrence one variable, the
+value it takes after forgetting, so its formulas embed no per-occurrence
+subformula.  The resulting :class:`SatEncoding` records which clause range
+each rule produced and the size of the base signature (auxiliary variables
+excluded), so structural properties can be checked against the
+per-encoding size formulas.  Every encoder accepts a KB that
+:func:`prepare_kb` already prepared and then does not prepare it again.  An
+encoding holds no reference cycle."""
 
 from __future__ import annotations
 
@@ -62,7 +64,6 @@ from .kb import (
     Top,
     atoms_of,
     fold_constants,
-    reduce_connectives,
 )
 from .solver import MaxSatInstance
 
@@ -79,9 +80,9 @@ class PreparedKB(KnowledgeBase):
 
 
 def prepare_kb(kb: KnowledgeBase) -> PreparedKB:
-    """Reduce => / <=> and fold constants; the per-formula result is either
-    constant-free or exactly + / -."""
-    return PreparedKB(tuple(fold_constants(reduce_connectives(f)) for f in kb))
+    """Reduce => / <=> and fold constants, in one walk per formula; the
+    per-formula result is either constant-free or exactly + / -."""
+    return PreparedKB(tuple(fold_constants(f) for f in kb))
 
 
 def prepared(kb: KnowledgeBase) -> PreparedKB:
@@ -149,29 +150,43 @@ class SatEncoding:
     def add_clauses(self, tag: str, clauses: list[list[int]]) -> None:
         """Append `clauses` as rule `tag`, extending the last span if it is
         the same rule's and ends here."""
+        self.add_rules(clauses, ((tag, len(clauses)),))
+
+    def add_rules(self, clauses: list[list[int]], runs: list[tuple[str, int]]) -> None:
+        """Append `clauses` as the rules `runs` lists, (tag, clause count) in
+        order, each rule's span as :meth:`add_clauses` makes it."""
         cnf_clauses = self.cnf.clauses
-        start = len(cnf_clauses)
-        cnf_clauses.extend(clauses)
         end = len(cnf_clauses)
+        cnf_clauses += clauses
         spans = self.rule_spans
-        if spans and spans[-1][0] == tag and spans[-1][2] == start:
-            spans[-1] = (tag, spans[-1][1], end)
-        elif end > start:
-            spans.append((tag, start, end))
+        last = spans[-1] if spans else (None, 0, -1)
+        for tag, count in runs:
+            start = end
+            end += count
+            if last[0] == tag and last[2] == start:
+                last = spans[-1] = (tag, last[1], end)
+            elif count:
+                last = (tag, start, end)
+                spans.append(last)
 
     def at_most(self, tag: str, sums: list[list[list[int]]]) -> None:
         """At most the bound of each sum's literals are true, a bound per
         :meth:`assume`.  A sum is a list of parts, each a list of literals:
         at most 0 makes every input false; above 0, a
         ``cardinality.SumCounter`` per sum grows to the bound (a one-part
-        sum is that part's sequential counter).  A bound that no sum exceeds
-        in size adds nothing and assumes nothing."""
-        counters = [cardinality.SumCounter(parts, self.varmap) for parts in sums]
+        sum is that part's sequential counter), made at the first bound
+        above 0.  A bound that no sum exceeds in size adds nothing and
+        assumes nothing.  The bound rule is handed the encoding, so it holds
+        no reference cycle."""
         counted = self._counted = [lit for parts in sums for part in parts for lit in part]
+        counters: list[cardinality.SumCounter] | None = None
 
         def assume(enc: SatEncoding, u: int) -> list[int]:
+            nonlocal counters
             if u == 0:
                 return [-lit for lit in counted]
+            if counters is None:
+                counters = [cardinality.SumCounter(parts, enc.varmap) for parts in sums]
             lits = []
             for counter in counters:
                 clauses, lit = counter.at_most(u)
@@ -207,20 +222,6 @@ class SatEncoding:
         return self
 
 
-def _iff(a: int, b: int) -> list[list[int]]:
-    return [[-a, b], [a, -b]]
-
-
-def _iff_and(v: int, a: int, b: int) -> list[list[int]]:
-    """v <-> a & b; with every literal negated, v <-> a | b."""
-    return [[-v, a], [-v, b], [v, -a, -b]]
-
-
-def _iff_neither(v: int, a: int, b: int, c: int, d: int) -> list[list[int]]:
-    """v <-> !(a & b) & !c & !d."""
-    return [[-v, -a, -b], [-v, -c], [-v, -d], [v, a, c, d], [v, b, c, d]]
-
-
 # ---------------------------------------------------------------------------
 # Contension (three-valued models with few b-assignments)
 
@@ -234,58 +235,63 @@ def encode_contension(kb: KnowledgeBase, u: int | None = None) -> SatEncoding:
     atoms = pkb.signature()
     sites = pkb.subformula_sites()
     b = SatEncoding("contension")
-    vm = b.varmap
-    tri = {x: [vm.var((TAG_TRI, x, v)) for v in THREE_VALUES] for x in atoms}  # SC1
-    first = len(vm) + 1
-    for site, _ in sites:  # SC2
-        key = (site.formula_index, site.path)
-        for v in THREE_VALUES:
-            vm.var((TAG_VAL, key, v))
+    ids = b.varmap.run(  # SC1, then SC2
+        [(TAG_TRI, x, v) for x in atoms for v in THREE_VALUES]
+        + [(TAG_VAL, (site.formula_index, site.path), v)
+           for site, _ in sites for v in THREE_VALUES])
+    tri = dict(zip(atoms, ids[::3]))  # X_t, with X_f and X_b the next two ids
+    first = ids.start + 3 * len(atoms)
     base_size = 3 * len(atoms) + 3 * len(sites)
+    kinds = [type(node) for _, node in sites]
     size = [1] * len(sites)  # subtree sizes, children before parents
     for k in range(len(sites) - 1, -1, -1):
-        node = sites[k][1]
-        if isinstance(node, Not):
+        if kinds[k] is Not:
             size[k] += size[k + 1]
-        elif isinstance(node, (And, Or)):
+        elif kinds[k] is And or kinds[k] is Or:
             size[k] += size[k + 1] + size[k + 1 + size[k + 1]]
 
-    for t, f, bb in tri.values():  # SC3: exactly one of X_t, X_f, X_b
-        b.add_clauses("SC3", [[t, f, bb], [-t, -f], [-t, -bb], [-bb, -f]])
+    clauses = [clause for t in tri.values() for clause in (  # SC3: exactly one of X_t, X_f, X_b
+        [t, t + 1, t + 2], [-t, -t - 1], [-t, -t - 2], [-t - 2, -t - 1])]
+    runs = [("SC3", len(clauses))]
     roots = []
-    for k, (site, node) in enumerate(sites):
+    for k, ((site, node), kind) in enumerate(zip(sites, kinds)):
         vt = first + 3 * k
         vf, vb = vt + 1, vt + 2
         if not site.path:
             roots.append(vt)
-        if isinstance(node, (And, Or)):  # SC4-SC6 / SC7-SC9
+        if kind is And or kind is Or:
             lt = vt + 3
             rt = first + 3 * (k + 1 + size[k + 1])
             lf, rf = lt + 1, rt + 1
-            if isinstance(node, And):
-                b.add_clauses("SC4", _iff_and(vt, lt, rt))
-                b.add_clauses("SC5", _iff_and(-vf, -lf, -rf))
-                b.add_clauses("SC6", _iff_neither(vb, lt, rt, lf, rf))
-            else:
-                b.add_clauses("SC7", _iff_and(-vt, -lt, -rt))
-                b.add_clauses("SC8", _iff_and(vf, lf, rf))
-                b.add_clauses("SC9", _iff_neither(vb, lf, rf, lt, rt))
-        elif isinstance(node, Not):  # SC10-SC12
+            if kind is And:  # t iff both t, f iff either f, b iff neither
+                clauses += ([-vt, lt], [-vt, rt], [vt, -lt, -rt],  # SC4
+                            [vf, -lf], [vf, -rf], [-vf, lf, rf],  # SC5
+                            [-vb, -lt, -rt], [-vb, -lf], [-vb, -rf],  # SC6
+                            [vb, lt, lf, rf], [vb, rt, lf, rf])
+                runs += (("SC4", 3), ("SC5", 3), ("SC6", 5))
+            else:  # t iff either t, f iff both f, b iff neither
+                clauses += ([vt, -lt], [vt, -rt], [-vt, lt, rt],  # SC7
+                            [-vf, lf], [-vf, rf], [vf, -lf, -rf],  # SC8
+                            [-vb, -lf, -rf], [-vb, -lt], [-vb, -rt],  # SC9
+                            [vb, lf, lt, rt], [vb, rf, lt, rt])
+                runs += (("SC7", 3), ("SC8", 3), ("SC9", 5))
+        elif kind is Not:  # SC10-SC12: t, f and b are the child's f, t and b
             ct = vt + 3
-            b.add_clauses("SC10", _iff(vt, ct + 1))
-            b.add_clauses("SC11", _iff(vf, ct))
-            b.add_clauses("SC12", _iff(vb, ct + 2))
-        elif isinstance(node, Atom):  # SC13-SC15
-            t, f, bb = tri[node.name]
-            b.add_clauses("SC13", _iff(vt, t))
-            b.add_clauses("SC14", _iff(vf, f))
-            b.add_clauses("SC15", _iff(vb, bb))
+            clauses += ([-vt, ct + 1], [vt, -ct - 1], [-vf, ct], [vf, -ct],
+                        [-vb, ct + 2], [vb, -ct - 2])
+            runs += (("SC10", 2), ("SC11", 2), ("SC12", 2))
+        elif kind is Atom:  # SC13-SC15: t, f and b are the atom's
+            t = tri[node.name]
+            clauses += ([-vt, t], [vt, -t], [-vf, t + 1], [vf, -t - 1], [-vb, t + 2], [vb, -t - 2])
+            runs += (("SC13", 2), ("SC14", 2), ("SC15", 2))
         else:  # whole-formula constant left by folding; fix its valuation
-            top = isinstance(node, Top)
-            b.add_clauses("SC-const", [[vt if top else -vt], [-vf if top else vf], [-vb]])
-    for vt in roots:  # SC16: every KB member is t or b
-        b.add_clauses("SC16", [[vt, vt + 2]])
-    b.at_most("SC17", [[[bb for _, _, bb in tri.values()]]])
+            top = kind is Top
+            clauses += ([vt if top else -vt], [-vf if top else vf], [-vb])
+            runs.append(("SC-const", 3))
+    clauses += [[vt, vt + 2] for vt in roots]  # SC16: every KB member is t or b
+    runs.append(("SC16", len(roots)))
+    b.add_rules(clauses, runs)
+    b.at_most("SC17", [[[t + 2 for t in tri.values()]]])
     return b.finish(base_size, u)
 
 
@@ -317,11 +323,11 @@ def encode_forgetting(kb: KnowledgeBase, u: int | None = None) -> SatEncoding:
     occurrences = pkb.occurrences()
     b = SatEncoding("forgetting")
     vm = b.varmap
-    value, top, bot = [], [], []
-    for occ in occurrences:  # SF1-SF2
-        value.append(vm.var((TAG_OCC, occ.atom, occ.label)))
-        top.append(vm.var((TAG_FORGET_TOP, occ.atom, occ.label)))
-        bot.append(vm.var((TAG_FORGET_BOT, occ.atom, occ.label)))
+    ids = vm.run([name for occ in occurrences for name in (  # SF1-SF2
+        (TAG_OCC, occ.atom, occ.label),
+        (TAG_FORGET_TOP, occ.atom, occ.label),
+        (TAG_FORGET_BOT, occ.atom, occ.label))])
+    value, top, bot = ids[::3], ids[1::3], ids[2::3]
     base_size = 3 * len(occurrences)
     # SF3 meets the atom leaves in reading order, the order of `occurrences`
     values = iter(value)
@@ -341,13 +347,12 @@ def encode_forgetting(kb: KnowledgeBase, u: int | None = None) -> SatEncoding:
     by_formula: list[list[int]] = [[] for _ in pkb]
     for j, occ in enumerate(occurrences):
         by_formula[occ.site.formula_index].append(j)
-    forgotten = []
+    forgotten, clauses = [], []
     for js in by_formula:
         part = [vm.fresh_aux() for _ in js]
-        b.add_clauses("SF5", [
-            clause for j, d in zip(js, part) for clause in ([-top[j], d], [-bot[j], d])
-        ])
+        clauses += [clause for j, d in zip(js, part) for clause in ([-top[j], d], [-bot[j], d])]
         forgotten.append(part)
+    b.add_clauses("SF5", clauses)
     b.at_most("SF5", [forgotten])
     return b.finish(base_size, u)
 
@@ -406,10 +411,12 @@ def encode_hs(kb: KnowledgeBase, blocks: int | None = None) -> SatEncoding:
 
     def add_block(enc: SatEncoding, i: int) -> None:
         vm = enc.varmap
-        start = len(vm) + 1
-        copies = {x: vm.var((TAG_COPY, x, i)) for x in atoms}  # SH1
-        for idx in range(len(pkb)):  # SH2
-            member[idx].append(vm.var((TAG_BLOCK, idx, i)))
+        ids = vm.run([(TAG_COPY, x, i) for x in atoms]  # SH1, then SH2
+                     + [(TAG_BLOCK, idx, i) for idx in range(len(pkb))])
+        start = ids.start
+        copies = dict(zip(atoms, ids))
+        for memberships, v in zip(member, ids[len(atoms):]):
+            memberships.append(v)
         enc.add_clauses("SH-order", [[-member[idx][-1]] for idx in range(i - 1)])
         enc.settling += [member[idx][-1] for idx in range(i - 1, len(pkb))]
         if i == 1:  # SH3, clausified once
@@ -421,11 +428,11 @@ def encode_hs(kb: KnowledgeBase, blocks: int | None = None) -> SatEncoding:
             enc.cnf_transform_seconds += time.perf_counter() - begin
         while len(vm) + 1 < start + width_from[i - 1]:  # the live Tseitin auxiliaries
             vm.fresh_aux()
-        shift = start - 1  # block 1 starts the instance
+        shift = start - 1  # block 1 starts the instance and takes the template as it is
         enc.add_clauses("SH3", [
             [lit + shift if lit > 0 else lit - shift for lit in clause]
             for clause in template[:clauses_from[i - 1]]
-        ])
+        ] if shift else template)
 
     built = 0
 
@@ -472,28 +479,33 @@ def _encode_distance_common(
     n = len(pkb)
     b = SatEncoding("max-distance" if per_formula_bound else "sum-distance")
     vm = b.varmap
-    opt = [vm.var((TAG_OPT, x)) for x in atoms]  # SDM1/SDS1
-    copies: list[dict[str, int]] = [{} for _ in pkb]  # x_i, by index from 0
-    invs: list[dict[str, int]] = [{} for _ in pkb]
-    for x in atoms:  # SDM2-SDM3 / SDS2-SDS3
-        for i in range(n):
-            copies[i][x] = vm.var((TAG_COPY, x, i + 1))
-            invs[i][x] = vm.var((TAG_INV, x, i + 1))
+    ids = vm.run(  # SDM1/SDS1, then SDM2-SDM3 / SDS2-SDS3 atom by atom
+        [(TAG_OPT, x) for x in atoms]
+        + [name for x in atoms for i in range(1, n + 1)
+           for name in ((TAG_COPY, x, i), (TAG_INV, x, i))])
+    opt = ids[:len(atoms)]
+    # x_i and inv(x, i), i from 0, are the ids copy[x] + 2i and copy[x] + 2i + 1
+    copy = {x: ids.start + len(atoms) + 2 * n * j for j, x in enumerate(atoms)}
     base_size = len(atoms) + 2 * n * len(atoms)
-    for formula, copy in zip(pkb, copies):  # SDM4/SDS4: assert the i-th copy
-        b.assert_formula(f"{tags}4", formula, copy.__getitem__)
     mentioned = [atoms_of(formula) for formula in pkb]
+    for i, (formula, atoms_i) in enumerate(zip(pkb, mentioned)):  # SDM4/SDS4: the i-th copy
+        b.assert_formula(f"{tags}4", formula, {x: copy[x] + 2 * i for x in atoms_i}.__getitem__)
+    pair_runs = ((f"{tags}5", 1), (f"{tags}6", 1))
+    free_runs = ((f"{tags}-free", 2),)
+    clauses, runs = [], []
     for x, xo in zip(atoms, opt):  # SDM5-SDM6 / SDS5-SDS6: xi != xo implies inv
-        for i in range(n):
-            xi, inv = copies[i][x], invs[i][x]
-            if x in mentioned[i]:
-                b.add_clauses(f"{tags}5", [[-xi, xo, inv]])
-                b.add_clauses(f"{tags}6", [[xi, -xo, inv]])
+        for xi, atoms_i in zip(range(copy[x], copy[x] + 2 * n, 2), mentioned):
+            if x in atoms_i:
+                clauses += ([-xi, xo, xi + 1], [xi, -xo, xi + 1])
+                runs += pair_runs
             else:  # the i-th formula ignores xi: fix the pair at level 0
-                b.add_clauses(f"{tags}-free", [[-xi], [-inv]])
+                clauses += ([-xi], [-xi - 1])
+                runs += free_runs
+    b.add_rules(clauses, runs)
     # SDM7/SDS7 count inv(x, i) only for the atoms x that the i-th formula
     # mentions: the inv of any other atom is fixed false above.
-    groups = [[inv[x] for x in sorted(atoms_i)] for inv, atoms_i in zip(invs, mentioned)]
+    groups = [[copy[x] + 2 * i + 1 for x in sorted(atoms_i)]
+              for i, atoms_i in enumerate(mentioned)]
     if per_formula_bound:  # SDM7: one bound per formula index
         b.at_most("SDM7", [[g] for g in groups])
     else:  # SDS7: one bound on the sum of the per-formula counts
@@ -518,8 +530,10 @@ def encode_dhit(kb: KnowledgeBase, u: int | None = None) -> SatEncoding:
     atoms = pkb.signature()
     b = SatEncoding("hit-distance")
     vm = b.varmap
-    hits = [vm.var((TAG_HIT, idx)) for idx in range(len(pkb))]  # SDH1
-    atom_ids = {x: vm.var((TAG_ATOM, x)) for x in atoms}  # SDH2
+    ids = vm.run([(TAG_HIT, idx) for idx in range(len(pkb))]  # SDH1, then SDH2
+                 + [(TAG_ATOM, x) for x in atoms])
+    hits = list(ids[:len(pkb)])
+    atom_ids = dict(zip(atoms, ids[len(pkb):]))
     base_size = len(atoms) + len(pkb)
     for formula, hit in zip(pkb, hits):  # SDH3
         b.assert_formula("SDH3", Or(formula, Lit(hit)), atom_ids.__getitem__)

@@ -104,8 +104,10 @@ def atoms_of(f: Formula, out: set[str] | None = None) -> set[str]:
         node = stack.pop()
         if isinstance(node, Atom):
             out.add(node.name)
-        else:
-            stack += children(node)
+        elif isinstance(node, Not):
+            stack.append(node.child)
+        elif isinstance(node, _BINARY):
+            stack += (node.left, node.right)
     return out
 
 
@@ -162,6 +164,20 @@ def replace_at(f: Formula, path: tuple[int, ...], replacement: Formula) -> Formu
     return type(f)(*pair)
 
 
+def _preorder(formulas: tuple[Formula, ...]) -> Iterator[tuple[int, tuple[int, ...], Formula]]:
+    """(formula index, path, node) of every node, formula by formula,
+    pre-order within a formula; a loop, so no walk keeps itself alive."""
+    for idx, f in enumerate(formulas):
+        stack = [(f, ())]
+        while stack:
+            node, path = stack.pop()
+            yield idx, path, node
+            if isinstance(node, Not):
+                stack.append((node.child, path + (0,)))
+            elif isinstance(node, _BINARY):
+                stack += ((node.right, path + (1,)), (node.left, path + (0,)))
+
+
 # ---------------------------------------------------------------------------
 # Knowledge base
 
@@ -189,32 +205,16 @@ class KnowledgeBase:
 
     def subformula_sites(self) -> list[tuple[Site, Formula]]:
         """All subformula sites in formula order, pre-order within a formula."""
-        out: list[tuple[Site, Formula]] = []
-
-        def walk(node: Formula, site: Site) -> None:
-            out.append((site, node))
-            for i, c in enumerate(children(node)):
-                walk(c, site.child(i))
-
-        for idx, f in enumerate(self.formulas):
-            walk(f, Site(idx, ()))
-        return out
+        return [(Site(idx, path), node) for idx, path, node in _preorder(self.formulas)]
 
     def occurrences(self) -> list[AtomOccurrence]:
         """Atom occurrences in reading order; labels count per atom, KB-wide."""
         counts: dict[str, int] = {}
         out: list[AtomOccurrence] = []
-
-        def walk(node: Formula, path: tuple[int, ...]) -> None:
+        for idx, path, node in _preorder(self.formulas):
             if isinstance(node, Atom):
                 label = counts[node.name] = counts.get(node.name, 0) + 1
                 out.append(AtomOccurrence(node.name, label, Site(idx, path)))
-            else:
-                for i, c in enumerate(children(node)):
-                    walk(c, path + (i,))
-
-        for idx, f in enumerate(self.formulas):
-            walk(f, ())
         return out
 
     def count_occurrences(self, atom: str) -> int:
@@ -481,40 +481,45 @@ def reduce_kb(kb: KnowledgeBase) -> KnowledgeBase:
 
 
 def fold_constants(f: Formula) -> Formula:
-    """Eliminate +/- leaves; the result is constant-free unless it is itself
-    a constant.  Folding preserves two- and three-valued truth values.  A
-    node none of whose children changed is returned as it is."""
-    if isinstance(f, (Atom, Top, Bottom)):
+    """Eliminate +/- leaves and rewrite => and <=> as
+    :func:`reduce_connectives` does, in one walk; the result is
+    constant-free unless it is itself a constant.  Folding preserves two-
+    and three-valued truth values.  A node none of whose children changed is
+    returned as it is."""
+    if isinstance(f, Atom):
         return f
     if isinstance(f, Not):
         c = fold_constants(f.child)
-        if isinstance(c, Top):
-            return BOTTOM
-        if isinstance(c, Bottom):
-            return TOP
+        if isinstance(c, (Top, Bottom)):
+            return _fold_node(Not(c))
         return f if c is f.child else Not(c)
+    if not isinstance(f, _BINARY):
+        return f
     left = fold_constants(f.left)
     right = fold_constants(f.right)
-    if isinstance(f, And):
-        if isinstance(left, Bottom) or isinstance(right, Bottom):
-            return BOTTOM
-        if isinstance(left, Top):
-            return right
-        if isinstance(right, Top):
-            return left
-        return f if left is f.left and right is f.right else And(left, right)
-    if isinstance(f, Or):
-        if isinstance(left, Top) or isinstance(right, Top):
-            return TOP
-        if isinstance(left, Bottom):
-            return right
-        if isinstance(right, Bottom):
-            return left
-        return f if left is f.left and right is f.right else Or(left, right)
     if isinstance(f, Implies):
-        return fold_constants(Or(Not(left), right))
-    assert isinstance(f, Iff)
-    return fold_constants(And(Or(Not(left), right), Or(Not(right), left)))
+        return _fold_node(Or(_fold_node(Not(left)), right))
+    if isinstance(f, Iff):
+        return _fold_node(And(_fold_node(Or(_fold_node(Not(left)), right)),
+                              _fold_node(Or(_fold_node(Not(right)), left))))
+    if isinstance(left, (Top, Bottom)) or isinstance(right, (Top, Bottom)):
+        return _fold_node(type(f)(left, right))
+    return f if left is f.left and right is f.right else type(f)(left, right)
+
+
+def _fold_node(f: Formula) -> Formula:
+    """A !, && or || node whose children are folded, with its constants folded."""
+    if isinstance(f, Not):
+        c = f.child
+        return BOTTOM if isinstance(c, Top) else TOP if isinstance(c, Bottom) else f
+    absorbing, neutral = (Bottom, Top) if isinstance(f, And) else (Top, Bottom)
+    if isinstance(f.left, absorbing) or isinstance(f.right, absorbing):
+        return BOTTOM if absorbing is Bottom else TOP
+    if isinstance(f.left, neutral):
+        return f.right
+    if isinstance(f.right, neutral):
+        return f.left
+    return f
 
 
 def substitute_atoms(f: Formula, rename: Callable[[str], Formula]) -> Formula:
